@@ -1,4 +1,4 @@
-"""Hot-path benchmark: batched/parallel EMS training vs the serial loops.
+"""Hot-path benchmark: batched/parallel EMS training vs the serial oracle.
 
 Standalone (no pytest-benchmark dependency) so CI can run it with the
 tier-1 package set:
@@ -9,22 +9,26 @@ Measures, on one profile (default: 64 residences — small fleets are
 dominated by fixed per-minute Python overhead and do not show the
 batched engine's scaling):
 
-- greedy evaluation: per-step rollout vs the vectorized matrix rollout
+- greedy evaluation: the per-step rollout of the serial oracle
+  (``tests/ems_oracle.py``) vs the trainer's vectorized matrix rollout
   (must be bit-identical; asserts the speedup floor);
-- one training day, three ways:
-  * serial reference: per-agent Python ``observe()``/``learn_step()``;
-  * batched engine: stacked replay sampling + one stacked
-    forward/backward/Adam step per wave (device scope, bit-identical
-    to serial by contract — asserted);
+- one device-scope training day, three ways:
+  * serial oracle: per-agent Python ``run_episode`` with
+    ``observe()``/``learn_step()``;
+  * batched engine (the trainer): stacked replay sampling + one
+    stacked forward/backward/Adam step per wave (bit-identical to the
+    oracle — asserted);
   * persistent worker pool: residence shards forked once, each worker
     running the batched engine over a zero-copy shared-memory view of
     the parameter arena; per-segment IPC is bounds out, rewards and
     counters back — no weight pickling in either direction
-    (bit-identical to serial in device scope — asserted).
+    (bit-identical to the oracle — asserted);
+- one residence-scope training day, oracle vs engine (bit-identical
+  day result and trainer state — asserted; timed but not floored).
 
 Speedup floors (``--min-batched-speedup`` / ``--min-parallel-speedup``,
 default 1.0) make CI fail if either accelerated path regresses below
-the serial loop.  The committed ``BENCH_hotpath.json`` records the
+the serial oracle.  The committed ``BENCH_hotpath.json`` records the
 achieved numbers plus environment metadata (numpy version, CPU count)
 so a regression can be told apart from a slower machine.
 """
@@ -39,7 +43,9 @@ import sys
 import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT))  # tests.ems_oracle
 
 import numpy as np  # noqa: E402
 
@@ -47,17 +53,19 @@ from repro.config import DQNConfig, FederationConfig  # noqa: E402
 from repro.core.pfdrl import PFDRLTrainer  # noqa: E402
 from repro.core.streams import build_streams  # noqa: E402
 from repro.data import generate_neighborhood  # noqa: E402
+from repro.persist.state import flatten_state  # noqa: E402
+from tests.ems_oracle import SerialPFDRLTrainer  # noqa: E402
 
 
-def make_trainer(streams, args, **kwargs):
-    return PFDRLTrainer(
+def make_trainer(streams, args, cls=PFDRLTrainer, agent_scope="device", **kwargs):
+    return cls(
         streams,
         dqn_config=DQNConfig(
             learn_every=args.learn_every, hidden_width=args.hidden_width
         ),
         federation_config=FederationConfig(gamma_hours=12.0),
         sharing="personalized",
-        agent_scope="device",
+        agent_scope=agent_scope,
         seed=0,
         **kwargs,
     )
@@ -72,6 +80,16 @@ def timed(fn, repeats: int = 1):
         result = fn()
         best = min(best, time.perf_counter() - t0)
     return best, result
+
+
+def states_equal(a: dict, b: dict) -> bool:
+    arrays_a, values_a = flatten_state(a)
+    arrays_b, values_b = flatten_state(b)
+    return (
+        values_a == values_b
+        and arrays_a.keys() == arrays_b.keys()
+        and all(np.array_equal(arrays_a[k], arrays_b[k]) for k in arrays_a)
+    )
 
 
 def evaluations_equal(a, b) -> bool:
@@ -124,17 +142,17 @@ def main(argv=None) -> int:
         f"{args.days} x {args.minutes_per_day}-min days ({n_pairs} agent pairs)"
     )
 
-    # --- training day: serial reference vs batched engine vs pool -------
-    serial = make_trainer(streams, args)
+    # --- training day: serial oracle vs batched engine vs pool ---------
+    serial = make_trainer(streams, args, cls=SerialPFDRLTrainer)
     t_train_serial, r_serial = timed(serial.run_day)
 
-    batched = make_trainer(streams, args, batched=True)
+    batched = make_trainer(streams, args)
     t_train_batched, r_batched = timed(batched.run_day)
     assert r_batched == r_serial, "batched day result diverged from serial"
 
     # The pool workers run the batched engine over shared-memory arena
-    # views; device scope keeps the serial bit-identity contract.
-    parallel = make_trainer(streams, args, batched=True, n_workers=args.workers)
+    # views, keeping the serial bit-identity contract.
+    parallel = make_trainer(streams, args, n_workers=args.workers)
     try:
         t_train_parallel, r_parallel = timed(parallel.run_day)
         assert r_parallel == r_serial, "sharded day result diverged from serial"
@@ -158,13 +176,30 @@ def main(argv=None) -> int:
         f"{args.min_parallel_speedup}x floor"
     )
 
+    # --- residence scope: one engine, bit-identical to the oracle ------
+    serial_res = make_trainer(
+        streams, args, cls=SerialPFDRLTrainer, agent_scope="residence"
+    )
+    t_res_serial, r_res_serial = timed(serial_res.run_day)
+    batched_res = make_trainer(streams, args, agent_scope="residence")
+    t_res_batched, r_res_batched = timed(batched_res.run_day)
+    assert r_res_batched == r_res_serial, (
+        "residence-scope day result diverged from serial"
+    )
+    assert states_equal(batched_res.state(), serial_res.state()), (
+        "residence-scope trainer state diverged from serial"
+    )
+    print(
+        f"residence : serial {t_res_serial:.2f}s | "
+        f"batched {t_res_batched:.2f}s "
+        f"({t_res_serial / t_res_batched:.2f}x, bit-identical)"
+    )
+
     # --- greedy evaluation: per-step rollout vs vectorized rollout ---
-    t_eval_serial, ev_serial = timed(
-        lambda: serial.evaluate(vectorized=False), args.repeats
-    )
-    t_eval_vec, ev_vec = timed(
-        lambda: serial.evaluate(vectorized=True), args.repeats
-    )
+    # Same trained weights on both sides: the oracle's per-step rollout
+    # against the trainer's matrix rollout.
+    t_eval_serial, ev_serial = timed(serial.evaluate, args.repeats)
+    t_eval_vec, ev_vec = timed(batched.evaluate, args.repeats)
     assert evaluations_equal(ev_serial, ev_vec), (
         "vectorized evaluation is not bit-identical to the per-step rollout"
     )
@@ -207,6 +242,12 @@ def main(argv=None) -> int:
             "parallel_speedup": round(parallel_speedup, 2),
             "n_workers": args.workers,
             "workers_batched": True,
+            "bit_identical": True,
+        },
+        "train_day_residence": {
+            "serial_s": round(t_res_serial, 4),
+            "batched_s": round(t_res_batched, 4),
+            "batched_speedup": round(t_res_serial / t_res_batched, 2),
             "bit_identical": True,
         },
     }

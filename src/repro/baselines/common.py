@@ -163,7 +163,6 @@ def _run_ems_tracked(system: PFDRLSystem) -> tuple[list[PFDRLDayResult], list[fl
         federation_config=system.config.federation,
         sharing=system.sharing,
         seed=system.config.seed,
-        batched=system.config.ems_batched,
         n_workers=system.config.ems_workers,
     )
     test_streams = build_streams(

@@ -168,13 +168,6 @@ class DQNConfig:
     #: False reproduces the paper's vanilla DQN; available as an
     #: extension/ablation.
     double_q: bool = False
-    #: Store the stacked-engine Adam moment arrays (``StackedAdam``) in
-    #: float32 instead of float64.  The learn step at paper-exact width
-    #: is memory-bound in the moment updates; halving their footprint
-    #: lifts that ceiling.  Off by default — float64 keeps the bitwise
-    #: serial-exact contract; float32 is tolerance-equivalent (pinned by
-    #: a parity test) and only affects the stacked engine.
-    float32_moments: bool = False
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -521,10 +514,6 @@ class PFDRLConfig:
     faults: FaultConfig = field(default_factory=FaultConfig)
     #: DRL training episodes per device before evaluation.
     episodes: int = 3
-    #: Run the EMS training loop through the batched minute-major engine
-    #: (``repro.rl.batch``).  Bit-identical in device scope; aggregate-
-    #: equivalent in residence scope, hence off by default.
-    ems_batched: bool = False
     #: Process-parallel residence sharding for EMS training segments
     #: (> 1 enables it; exact in both agent scopes).
     ems_workers: int = 1

@@ -3,8 +3,8 @@
 One DQN agent per residence manages all of that residence's devices.
 Simulated time advances in hour-long episodes (one forecast horizon):
 for each hour, each residence runs one episode per device against
-:class:`repro.rl.env.DeviceEnv`.  Every γ hours the residences share
-their DQNs:
+:class:`repro.rl.env.DeviceEnv`, stepped by the stacked engine of
+:mod:`repro.rl.batch`.  Every γ hours the residences share their DQNs:
 
 - ``sharing="personalized"`` (PFDRL): broadcast only the α base layers
   over the full mesh; each residence averages what it received with its
@@ -128,7 +128,6 @@ class PFDRLTrainer:
         seed: int = 0,
         fault_config: FaultConfig | None = None,
         telemetry: Telemetry | None = None,
-        batched: bool = False,
         n_workers: int = 1,
     ) -> None:
         if sharing not in SHARING_MODES:
@@ -148,12 +147,6 @@ class PFDRLTrainer:
         self.minutes_per_day = streams[0].minutes_per_day
         #: Episode length: one simulated hour.
         self.horizon = max(1, self.minutes_per_day // 24)
-        #: Batched hot path: step all (residence, device) envs minute-major
-        #: with one stacked Q-net forward per minute.  Bit-identical to the
-        #: serial loop in device scope; aggregate-equivalent (devices of a
-        #: residence interleave minute-major instead of running episode
-        #: after episode) in residence scope — hence opt-in.
-        self.batched = bool(batched)
         #: Process-parallel residence sharding for training segments
         #: (> 1 enables it; residences are independent between share
         #: rounds, so sharding is exact in both agent scopes).  The
@@ -271,8 +264,10 @@ class PFDRLTrainer:
     # ------------------------------------------------------------------
     def agent_for(self, residence_id: int, device: str) -> DQNAgent:
         """The agent responsible for one (residence, device) pair."""
-        slot = "*" if self.agent_scope == "residence" else device
-        return self._agents[(residence_id, slot)]
+        return self._agents[(residence_id, self._slot(device))]
+
+    def _slot(self, device: str) -> str:
+        return "*" if self.agent_scope == "residence" else device
 
     @property
     def n_residences(self) -> int:
@@ -398,17 +393,16 @@ class PFDRLTrainer:
     ) -> None:
         """Hour-long episodes per (residence, device) over [seg_lo, seg_hi).
 
-        Dispatches to the persistent-pool residence sharding when
-        ``n_workers > 1`` (and forking is available), to the
-        minute-major batched engine when ``batched``, and to the
-        reference serial loop otherwise.
+        Runs on the persistent-pool residence shards when
+        ``n_workers > 1`` (and forking is available), and on the
+        in-process batched engine otherwise.
         """
         if self.n_workers > 1 and len(self.streams) > 1 and fork_available():
             self._train_segment_parallel(seg_lo, seg_hi, rewards, optima)
-        elif self.batched:
-            self._train_segment_batched(seg_lo, seg_hi, rewards, optima)
         else:
-            self._train_segment_serial(seg_lo, seg_hi, rewards, optima)
+            self._run_segment(
+                self._ensure_engine(), self.streams, seg_lo, seg_hi, rewards, optima
+            )
 
     def _episode_env(self, dev_stream, lo: int, hi: int) -> DeviceEnv:
         chunk = dev_stream.slice(lo, hi)
@@ -421,19 +415,35 @@ class PFDRLTrainer:
             device=chunk.device,
         )
 
-    def _train_segment_serial(
-        self, seg_lo: int, seg_hi: int, rewards: list[float], optima: list[float]
+    def _run_segment(
+        self,
+        engine: BatchedEpisodeEngine,
+        streams: list[ResidenceStream],
+        seg_lo: int,
+        seg_hi: int,
+        rewards: list[float],
+        optima: list[float],
     ) -> None:
+        """One engine chunk per hour of [seg_lo, seg_hi) over *streams*.
+
+        Pairs are listed residence-major, devices in stream order — the
+        order of the per-episode reward list.
+        """
         for lo in range(seg_lo, seg_hi, self.horizon):
             hi = min(lo + self.horizon, seg_hi)
             if hi - lo < 2:
                 continue
-            for stream in self.streams:
-                for dev_stream in stream.devices.values():
-                    agent = self.agent_for(stream.residence_id, dev_stream.device)
-                    env = self._episode_env(dev_stream, lo, hi)
-                    rewards.append(agent.run_episode(env, learn=True))
-                    optima.append(env.max_episode_reward())
+            pairs = [
+                (
+                    (stream.residence_id, self._slot(dev_stream.device)),
+                    self._episode_env(dev_stream, lo, hi),
+                )
+                for stream in streams
+                for dev_stream in stream.devices.values()
+            ]
+            chunk_rewards, chunk_optima = engine.run_chunk(pairs)
+            rewards.extend(chunk_rewards)
+            optima.extend(chunk_optima)
 
     def _ensure_engine(self, shared: bool = False) -> BatchedEpisodeEngine:
         """Lazily build the batched engine (once per trainer).
@@ -459,34 +469,9 @@ class PFDRLTrainer:
                 self._arena = SharedArena(SharedArena.required_bytes(shapes))
                 allocator = self._arena.alloc
             self._engine = BatchedEpisodeEngine(
-                self._share_groups,
-                self._agents,
-                stacked_learn=self.batched,
-                allocator=allocator,
+                self._share_groups, self._agents, allocator=allocator
             )
         return self._engine
-
-    def _train_segment_batched(
-        self, seg_lo: int, seg_hi: int, rewards: list[float], optima: list[float]
-    ) -> None:
-        self._ensure_engine()
-        for lo in range(seg_lo, seg_hi, self.horizon):
-            hi = min(lo + self.horizon, seg_hi)
-            if hi - lo < 2:
-                continue
-            pairs = []
-            for stream in self.streams:
-                for dev_stream in stream.devices.values():
-                    slot = "*" if self.agent_scope == "residence" else dev_stream.device
-                    pairs.append(
-                        (
-                            (stream.residence_id, slot),
-                            self._episode_env(dev_stream, lo, hi),
-                        )
-                    )
-            chunk_rewards, chunk_optima = self._engine.run_chunk(pairs)
-            rewards.extend(chunk_rewards)
-            optima.extend(chunk_optima)
 
     def _ensure_pool(self) -> WorkerPool:
         """Fork the persistent worker pool on first use.
@@ -571,9 +556,8 @@ class PFDRLTrainer:
     ) -> None:
         """Train the segment on the persistent residence-shard workers.
 
-        Each worker steps its shard over ``[seg_lo, seg_hi)`` with the
-        same inner engine the single-process trainer would use (batched
-        waves when ``batched``, the serial reference loop otherwise).
+        Each worker steps its shard over ``[seg_lo, seg_hi)`` with a
+        shard view of the same engine the single-process trainer uses.
         Per-agent trajectories are identical; only the order of the
         per-episode reward list changes (shard-major), which no consumer
         depends on (the day result reduces it to sums/means of exact
@@ -842,18 +826,13 @@ class PFDRLTrainer:
 
     # ------------------------------------------------------------------
     def evaluate(
-        self,
-        eval_streams: list[ResidenceStream] | None = None,
-        vectorized: bool = True,
+        self, eval_streams: list[ResidenceStream] | None = None
     ) -> EMSEvaluation:
         """Greedy rollout over *eval_streams* (default: the training streams).
 
-        ``vectorized`` (the default) replaces the per-minute act/step
-        loop with one Q-net forward over each device's full state matrix
-        (:func:`repro.rl.batch.greedy_rollout`); the per-chunk metric
-        accumulation is shared with the serial reference path, so the
-        returned ``EMSEvaluation`` arrays are bit-identical either way
-        (pinned by tests and ``benchmarks/bench_hotpath.py``).
+        Each device's full stream is rolled out by one Q-net forward
+        over its state matrix (:meth:`_greedy_chunks`), then scored per
+        hour-long chunk.
         """
         streams = eval_streams if eval_streams is not None else self.streams
         n_res = len(streams)
@@ -872,33 +851,10 @@ class PFDRLTrainer:
         for ri, stream in enumerate(streams):
             for dev_stream in stream.devices.values():
                 agent = self.agent_for(stream.residence_id, dev_stream.device)
-                if vectorized:
-                    _, controlled_all, rewards_min = greedy_rollout(
-                        agent.qnet, dev_stream
-                    )
-                    optimal = dev_stream.mode.astype(np.int64)
-                    optimal = np.where(optimal == 1, 0, optimal)  # kill standby
-                    opt_min = reward_vector(dev_stream.mode, optimal)
-                for lo in range(0, n_min, self.horizon):
-                    hi = min(lo + self.horizon, n_min)
-                    if hi - lo < 1:
-                        continue
+                for lo, hi, r, r_opt, controlled in self._greedy_chunks(
+                    agent, dev_stream
+                ):
                     chunk = dev_stream.slice(lo, hi)
-                    if vectorized:
-                        controlled = controlled_all[lo:hi]
-                        r = float(rewards_min[lo:hi].sum())
-                        r_opt = float(opt_min[lo:hi].sum())
-                    else:
-                        env = DeviceEnv(
-                            chunk.predicted_kw,
-                            chunk.real_kw,
-                            chunk.on_kw,
-                            chunk.standby_kw,
-                            ground_truth_mode=chunk.mode,
-                            device=chunk.device,
-                        )
-                        r, controlled = agent.evaluate_episode(env)
-                        r_opt = env.max_episode_reward()
                     rew[ri] += r
                     opt[ri] += r_opt
                     delta = chunk.real_kw - controlled
@@ -923,6 +879,28 @@ class PFDRLTrainer:
             saved_kw=saved_kw,
         )
 
+    def _greedy_chunks(self, agent: DQNAgent, dev_stream):
+        """Greedy rollout of one device stream, scored per hour.
+
+        Yields ``(lo, hi, reward, optimal reward, controlled kW)`` per
+        chunk, from one matrix rollout of the whole stream
+        (:func:`repro.rl.batch.greedy_rollout`).
+        """
+        _, controlled, rewards = greedy_rollout(agent.qnet, dev_stream)
+        optimal = dev_stream.mode.astype(np.int64)
+        optimal = np.where(optimal == 1, 0, optimal)  # kill standby
+        opt_rewards = reward_vector(dev_stream.mode, optimal)
+        n = len(rewards)
+        for lo in range(0, n, self.horizon):
+            hi = min(lo + self.horizon, n)
+            yield (
+                lo,
+                hi,
+                float(rewards[lo:hi].sum()),
+                float(opt_rewards[lo:hi].sum()),
+                controlled[lo:hi],
+            )
+
 
 class _ShardWorker:
     """Command handler living inside one forked pool worker.
@@ -941,9 +919,7 @@ class _ShardWorker:
         self.streams = [trainer.streams[i] for i in stream_indices]
         rids = {stream.residence_id for stream in self.streams}
         self.keys = sorted(key for key in trainer._agents if key[0] in rids)
-        self.engine = (
-            trainer._engine.shard_view(rids) if trainer.batched else None
-        )
+        self.engine = trainer._engine.shard_view(rids)
 
     def __call__(self, cmd: str, payload):
         trainer = self._trainer
@@ -965,41 +941,7 @@ class _ShardWorker:
         trainer = self._trainer
         rewards: list[float] = []
         optima: list[float] = []
-        if self.engine is not None:
-            for lo in range(seg_lo, seg_hi, trainer.horizon):
-                hi = min(lo + trainer.horizon, seg_hi)
-                if hi - lo < 2:
-                    continue
-                pairs = []
-                for stream in self.streams:
-                    for dev_stream in stream.devices.values():
-                        slot = (
-                            "*"
-                            if trainer.agent_scope == "residence"
-                            else dev_stream.device
-                        )
-                        pairs.append(
-                            (
-                                (stream.residence_id, slot),
-                                trainer._episode_env(dev_stream, lo, hi),
-                            )
-                        )
-                chunk_rewards, chunk_optima = self.engine.run_chunk(pairs)
-                rewards.extend(chunk_rewards)
-                optima.extend(chunk_optima)
-        else:
-            for lo in range(seg_lo, seg_hi, trainer.horizon):
-                hi = min(lo + trainer.horizon, seg_hi)
-                if hi - lo < 2:
-                    continue
-                for stream in self.streams:
-                    for dev_stream in stream.devices.values():
-                        agent = trainer.agent_for(
-                            stream.residence_id, dev_stream.device
-                        )
-                        env = trainer._episode_env(dev_stream, lo, hi)
-                        rewards.append(agent.run_episode(env, learn=True))
-                        optima.append(env.max_episode_reward())
+        trainer._run_segment(self.engine, self.streams, seg_lo, seg_hi, rewards, optima)
         counters = {
             key: (
                 trainer._agents[key].learn_steps,

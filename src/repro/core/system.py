@@ -191,7 +191,6 @@ class PFDRLSystem:
             seed=self.config.seed,
             fault_config=self.config.faults,
             telemetry=self.telemetry,
-            batched=self.config.ems_batched,
             n_workers=self.config.ems_workers,
         )
 

@@ -167,21 +167,11 @@ class StackedAdam:
     pow differs from ``np.power`` in the last ulp for some inputs),
     and the same elementwise update expression — so a stacked step is
     bit-identical to N serial steps.
-
-    ``moment_dtype=np.float32`` stores the moment stacks in float32
-    (halving the memory traffic of the moment updates, which bound the
-    learn step at paper-exact width).  The member slots are rebound to
-    float32 views, so checkpoints round-trip; the bitwise contract
-    weakens to tolerance-equivalence against the float64 reference
-    (pinned by a parity test).
     """
 
-    def __init__(self, optimizers: list[Adam], moment_dtype=np.float64) -> None:
+    def __init__(self, optimizers: list[Adam]) -> None:
         if not optimizers:
             raise ValueError("need at least one optimizer to stack")
-        moment_dtype = np.dtype(moment_dtype)
-        if moment_dtype not in (np.dtype(np.float32), np.dtype(np.float64)):
-            raise ValueError("moment_dtype must be float32 or float64")
         ref = optimizers[0]
         for opt in optimizers[1:]:
             if (
@@ -199,21 +189,12 @@ class StackedAdam:
         self.lr = ref.lr
         self.beta1, self.beta2, self.eps = ref.beta1, ref.beta2, ref.eps
         self.clip_norm = ref.clip_norm
-        self.moment_dtype = moment_dtype
         #: (N, *param_shape) first/second-moment stacks, one per parameter.
         self._m: list[np.ndarray] = []
         self._v: list[np.ndarray] = []
         for k in range(len(ref._m)):
-            self._m.append(
-                np.stack([opt._m[k] for opt in optimizers]).astype(
-                    moment_dtype, copy=False
-                )
-            )
-            self._v.append(
-                np.stack([opt._v[k] for opt in optimizers]).astype(
-                    moment_dtype, copy=False
-                )
-            )
+            self._m.append(np.stack([opt._m[k] for opt in optimizers]))
+            self._v.append(np.stack([opt._v[k] for opt in optimizers]))
             for i, opt in enumerate(optimizers):
                 opt._m[k] = self._m[k][i]
                 opt._v[k] = self._v[k][i]
@@ -238,7 +219,6 @@ class StackedAdam:
         sub.lr = parent.lr
         sub.beta1, sub.beta2, sub.eps = parent.beta1, parent.beta2, parent.eps
         sub.clip_norm = parent.clip_norm
-        sub.moment_dtype = parent.moment_dtype
         sub._m = [m[lo:hi] for m in parent._m]
         sub._v = [v[lo:hi] for v in parent._v]
         sub._t = parent._t[lo:hi]

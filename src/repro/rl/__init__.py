@@ -11,16 +11,15 @@
 - :mod:`repro.rl.qnet` — the 8x100-ReLU, 3-output Q-network.
 - :mod:`repro.rl.dqn` — the DQN agent (lr 0.001, discount 0.9, target
   replace every 100 steps, Huber loss, ε-greedy).
-- :mod:`repro.rl.batch` — the batched hot-path execution engine
-  (stacked-parameter arena, minute-major training, matrix-only greedy
-  evaluation, process-parallel residence sharding worker).
+- :mod:`repro.rl.batch` — the batched training engine (stacked-parameter
+  arena, wave-major episode stepping, stacked learn step) and the
+  matrix-only greedy evaluation rollouts.
 """
 
 from repro.rl.batch import (
     BatchedEpisodeEngine,
     StackedQNet,
     greedy_rollout,
-    train_residence_segment,
 )
 from repro.rl.modes import classify_mode, classify_modes, MODE_NAMES
 from repro.rl.reward import REWARD_MATRIX, reward, reward_vector
@@ -50,5 +49,4 @@ __all__ = [
     "BatchedEpisodeEngine",
     "StackedQNet",
     "greedy_rollout",
-    "train_residence_segment",
 ]

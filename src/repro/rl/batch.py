@@ -1,51 +1,49 @@
-"""Batched hot-path execution for the EMS training/evaluation loops.
+"""Batched execution of the EMS training and evaluation loops.
 
 The trainer's inner loop is the repo's hottest path: every simulated
 minute does one Q-net forward per (residence, device) pair, each a
 batch-of-1 matrix product, and every learn trigger runs a full
-per-agent forward/backward/Adam step in Python.  This module batches
-both halves while keeping the per-agent semantics intact:
+per-agent forward/backward/Adam step.  This module batches both halves
+while keeping the per-agent semantics intact; it is the trainer's only
+training engine (the serial ``run_episode`` loop survives as a test
+oracle):
 
 - :class:`StackedQNet` — a zero-copy *parameter arena* over N
   same-architecture Q-networks.  All weight mutations in this codebase
   are in-place (``Adam.step`` subtracts into ``Parameter.data``,
   ``set_weights`` assigns with ``[...]``), so each agent's parameters
-  can be rebound to views of stacked ``(N, in, out)`` tensors: the
+  are rebound once to views of stacked ``(N, in, out)`` tensors: the
   stacked weights are always current and one broadcast ``matmul`` per
   minute evaluates every agent at once.  With an ``allocator`` the
   stacks live in a :class:`repro.parallel.shm.SharedArena`, so forked
   workers and the parent share the same physical weight pages;
   :meth:`StackedQNet.view` slices a contiguous row range for a worker's
   shard without copying anything.
-- :class:`StackedLearner` — the fully batched learn step.  Replay
-  rings, Adam moments, and counters are stacked the same way, so one
-  wave of transitions becomes one stacked push + one stacked
+- :class:`StackedLearner` — the batched learn step.  Replay rings, Adam
+  moments, and counters are stacked the same way, so one wave of
+  transitions becomes one stacked push + one stacked
   forward/backward + one :class:`repro.nn.optim.StackedAdam` step for
-  every triggered agent, instead of a Python ``observe()`` /
-  ``learn_step()`` per agent.
-- :class:`BatchedEpisodeEngine` — minute-major episode stepping over
-  many (agent, env) pairs, grouped into occurrence *waves* so each
-  batched replay/learn op touches each agent row at most once.  Policy
-  RNG draws and replay RNG draws stay per-agent and in per-agent order.
-- :func:`greedy_rollout` / :func:`train_residence_segment` — the
-  matrix-only greedy evaluation rollout and the picklable worker for
-  stateless process-pool residence sharding.
+  every triggered agent.
+- :class:`BatchedEpisodeEngine` — wave-major episode stepping over many
+  (agent, env) pairs: occurrence *wave* k holds the k-th pair of each
+  agent and runs its whole horizon before wave k + 1, so each agent
+  sees its episodes in serial order and each batched replay/learn op
+  touches each agent row at most once.  Policy RNG draws and replay RNG
+  draws stay per-agent and in per-agent order.
+- :func:`greedy_rollout` / :func:`schedule_rollout` — matrix-only
+  greedy evaluation rollouts.
 
 Bitwise-identity contract (verified by ``tests/test_rl_batch.py``):
 ``np.matmul`` over stacked operands ``(M, B, d) @ (M, d, h)`` computes
 each item exactly as the serial ``(B, d) @ (d, h)`` product — and the
 same holds for the transposed backward products, ``sum``-reductions
-along the batch axis, and the stacked Adam update — so batched
-*training* (device scope) reproduces the serial loop bit-for-bit.  In
-residence scope a residence's devices interleave minute-major instead
-of running episode after episode, so the contract weakens to exact
-aggregate equivalence (same learn triggers, same counters, same
-broadcast schedule).  A single large gemm ``(T, d) @ (d, h)`` — used by
-greedy *evaluation* — is not row-bitwise-stable in general, but greedy
-evaluation only consumes ``argmax`` of the Q-rows and Table-1 rewards
-are exact integers, so the resulting ``EMSEvaluation`` arrays match the
-serial rollout bit-for-bit (asserted in tests and
-``benchmarks/bench_hotpath.py``).
+along the batch axis, and the stacked Adam update — so batched training
+reproduces the serial loop bit-for-bit in both agent scopes.  A single
+large gemm ``(T, d) @ (d, h)`` — used by greedy *evaluation* — is not
+row-bitwise-stable in general, but greedy evaluation only consumes
+``argmax`` of the Q-rows and Table-1 rewards are exact integers, so the
+resulting ``EMSEvaluation`` arrays match the per-step rollout
+bit-for-bit (asserted in tests and ``benchmarks/bench_hotpath.py``).
 """
 
 from __future__ import annotations
@@ -65,7 +63,6 @@ __all__ = [
     "BatchedEpisodeEngine",
     "greedy_rollout",
     "schedule_rollout",
-    "train_residence_segment",
 ]
 
 
@@ -112,20 +109,8 @@ class StackedQNet:
                 np.stack(bs, out=b)
             self._weights.append(W)
             self._biases.append(b)
-        # numpy collapses view chains to the ultimate owning ndarray, so
-        # a member view's ``.base`` is the stack itself for np.stack
-        # arrays but the arena's flat buffer array for allocator-carved
-        # stacks; record the owner per layer so adoption checks work for
-        # both (and for row-sliced shard views of either).
-        self._wroots = [self._owner(W) for W in self._weights]
-        self._broots = [self._owner(b) for b in self._biases]
         self._bcache = None
         self._adopt()
-
-    @staticmethod
-    def _owner(arr: np.ndarray):
-        base = arr.base
-        return arr if not isinstance(base, np.ndarray) else base
 
     @property
     def n(self) -> int:
@@ -148,8 +133,6 @@ class StackedQNet:
         sub.out_dim = parent.out_dim
         sub._weights = [W[lo:hi] for W in parent._weights]
         sub._biases = [b[lo:hi] for b in parent._biases]
-        sub._wroots = list(parent._wroots)
-        sub._broots = list(parent._broots)
         sub._bcache = None
         return sub
 
@@ -159,24 +142,6 @@ class StackedQNet:
                 lin = qn._linears[j]
                 lin.W.data = W[i]
                 lin.b.data = b[i]
-
-    def ensure_adopted(self) -> None:
-        """Re-adopt any parameter that was rebound to a fresh array.
-
-        Nothing in the repo rebinds ``Parameter.data`` today, but a
-        defensive re-adoption (values copied into the stack, view bound
-        back) keeps the arena correct if some future code path does.
-        """
-        for j, (W, b) in enumerate(zip(self._weights, self._biases)):
-            wroot, broot = self._wroots[j], self._broots[j]
-            for i, qn in enumerate(self.qnets):
-                lin = qn._linears[j]
-                if lin.W.data.base is not wroot:
-                    W[i, ...] = lin.W.data
-                    lin.W.data = W[i]
-                if lin.b.data.base is not broot:
-                    b[i, ...] = lin.b.data
-                    lin.b.data = b[i]
 
     def forward(self, states: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
         """Per-network forward: row ``i`` of *states* through network ``i``.
@@ -388,12 +353,7 @@ class StackedLearner:
         self.qstack = qstack
         self.tstack = tstack
         self.replay = _StackedReplay([a.replay for a in agents])
-        # float32 moment storage is a config opt-in (off by default: the
-        # float64 arena keeps the bitwise serial-exact contract).
-        self.optim = StackedAdam(
-            [a.optimizer for a in agents],
-            moment_dtype=np.float32 if ref.float32_moments else np.float64,
-        )
+        self.optim = StackedAdam([a.optimizer for a in agents])
         self._learn_steps = np.array([a.learn_steps for a in agents], dtype=np.int64)
         self._sgd_steps = np.array([a.sgd_steps for a in agents], dtype=np.int64)
         self._observed = np.array([a._observed for a in agents], dtype=np.int64)
@@ -508,16 +468,15 @@ class StackedLearner:
 
 
 class BatchedEpisodeEngine:
-    """Minute-major batched episode stepping for a set of DQN agents.
+    """Batched episode stepping for a set of DQN agents.
 
     Construction groups the agents exactly as the trainer's federation
     share groups do — one :class:`StackedQNet` per slot (``"*"`` in
     residence scope, one per device type in device scope) for both the
     online and target networks, plus one :class:`StackedLearner` per
-    slot unless ``stacked_learn=False`` (then learning falls back to
-    per-agent ``observe()``).  The arena views stay bound for the
-    trainer's lifetime, so share rounds and checkpoint restores (both
-    in-place) need no re-sync.  ``allocator`` places the weight stacks
+    slot.  The arena views stay bound for the trainer's lifetime, so
+    share rounds and checkpoint restores (both in-place) need no
+    re-sync.  ``allocator`` places the weight stacks
     in shared memory for the persistent-pool training path;
     :meth:`shard_view` then gives each forked worker a zero-copy slice.
     """
@@ -526,11 +485,9 @@ class BatchedEpisodeEngine:
         self,
         share_groups: list[list[tuple[int, str]]],
         agents: dict[tuple[int, str], DQNAgent],
-        stacked_learn: bool = True,
         allocator=None,
     ) -> None:
         self._agents = agents
-        self.stacked_learn = bool(stacked_learn)
         self._stacks: dict[str, StackedQNet] = {}
         self._targets: dict[str, StackedQNet] = {}
         self._learners: dict[str, StackedLearner] = {}
@@ -543,8 +500,7 @@ class BatchedEpisodeEngine:
             tstack = StackedQNet([m.target for m in members], allocator=allocator)
             self._stacks[slot] = qstack
             self._targets[slot] = tstack
-            if self.stacked_learn:
-                self._learners[slot] = StackedLearner(members, qstack, tstack)
+            self._learners[slot] = StackedLearner(members, qstack, tstack)
             self._groups[slot] = list(group)
             for i, key in enumerate(group):
                 self._row[key] = i
@@ -562,7 +518,6 @@ class BatchedEpisodeEngine:
         """
         rids = set(residence_ids)
         sub = object.__new__(BatchedEpisodeEngine)
-        sub.stacked_learn = self.stacked_learn
         sub._agents = {k: v for k, v in self._agents.items() if k[0] in rids}
         sub._stacks = {}
         sub._targets = {}
@@ -580,10 +535,9 @@ class BatchedEpisodeEngine:
                 )
             sub._stacks[slot] = StackedQNet.view(self._stacks[slot], lo, hi)
             sub._targets[slot] = StackedQNet.view(self._targets[slot], lo, hi)
-            if slot in self._learners:
-                sub._learners[slot] = StackedLearner.view(
-                    self._learners[slot], lo, hi, sub._stacks[slot], sub._targets[slot]
-                )
+            sub._learners[slot] = StackedLearner.view(
+                self._learners[slot], lo, hi, sub._stacks[slot], sub._targets[slot]
+            )
             subgroup = group[lo:hi]
             sub._groups[slot] = subgroup
             for i, key in enumerate(subgroup):
@@ -593,103 +547,69 @@ class BatchedEpisodeEngine:
     def run_chunk(
         self, pairs: list[tuple[tuple[int, str], DeviceEnv]]
     ) -> tuple[list[float], list[float]]:
-        """Step every (agent key, env) pair minute-major through one chunk.
+        """Step every (agent key, env) pair through one chunk, wave-major.
 
         All envs must share one horizon (aligned streams guarantee it).
-        Per pair, the observation order seen by its agent — act, step,
-        observe at t = 0..T-1 — is identical to the serial
-        ``run_episode`` loop; only the interleaving *between* pairs
-        changes.  Within a minute, a slot's pairs are processed in
-        occurrence waves (wave k holds the k-th pair of each agent), so
-        each wave touches each agent row at most once and the stacked
-        replay push + learn step is exact.  Returns (episode rewards,
-        optimal rewards) in pair order, matching the serial loop's
-        bookkeeping order.
+        A slot's pairs are grouped into occurrence waves (wave k holds
+        the k-th pair of each agent), and each wave runs its whole
+        horizon minute by minute before the next wave starts: one
+        stacked forward over the wave's rows, one stacked replay push
+        and learn step per minute.  So every agent sees its pairs'
+        episodes one after another in pair order — exactly the serial
+        ``run_episode`` loop — and each stacked op touches each agent
+        row at most once.  Returns (episode rewards, optimal rewards)
+        in pair order, matching the serial loop's bookkeeping order.
         """
         if not pairs:
             return [], []
-        for stack in self._stacks.values():
-            stack.ensure_adopted()
-        for tstack in self._targets.values():
-            tstack.ensure_adopted()
-        for learner in self._learners.values():
-            learner.sync_in()
         horizon = pairs[0][1].horizon
-        # Group pair indices by slot so each group hits one stack.
-        by_slot: dict[str, list[int]] = {}
+        # (slot, occurrence) -> pair indices; wave (slot, k) is created
+        # before (slot, k + 1), so running waves in insertion order keeps
+        # each agent's pairs in pair order.
+        waves: dict[tuple[str, int], list[int]] = {}
+        seen: dict[tuple[int, str], int] = {}
         for idx, (key, env) in enumerate(pairs):
             if env.horizon != horizon:
                 raise ValueError("all envs in a batched chunk must share one horizon")
-            by_slot.setdefault(key[1], []).append(idx)
-        states = [env.reset() for _, env in pairs]
+            w = seen.get(key, 0)
+            seen[key] = w + 1
+            waves.setdefault((key[1], w), []).append(idx)
+        for learner in self._learners.values():
+            learner.sync_in()
         totals = [0.0] * len(pairs)
-        state_dim = len(states[0])
-        plans = []
-        for slot, idxs in by_slot.items():
-            rows = [self._row[pairs[i][0]] for i in idxs]
-            sel = (
-                None
-                if rows == list(range(self._stacks[slot].n))
-                else np.asarray(rows)
-            )
-            seen: dict[int, int] = {}
-            waves: list[tuple[list, list]] = []
-            for bi, i in enumerate(idxs):
-                row = rows[bi]
-                w = seen.get(row, 0)
-                seen[row] = w + 1
-                if w == len(waves):
-                    waves.append(([], []))
-                key, env = pairs[i]
-                waves[w][0].append((i, bi, env, self._agents[key]))
-                waves[w][1].append(row)
-            plans.append(
-                (
-                    slot,
-                    idxs,
-                    sel,
-                    [(m, np.asarray(r, dtype=np.int64)) for m, r in waves],
-                    self._learners.get(slot),
-                )
-            )
-        for _ in range(horizon):
-            for slot, idxs, sel, waves, learner in plans:
-                q = self._stacks[slot].forward(
-                    np.stack([states[i] for i in idxs]), rows=sel
-                )
-                for members, wave_rows in waves:
-                    if learner is None:
-                        for i, bi, env, agent in members:
-                            action = agent.policy.select(q[bi])
-                            step = env.step(action)
-                            agent.observe(
-                                states[i], action, step.reward, step.state, step.done
-                            )
-                            totals[i] += step.reward
-                            states[i] = step.state
-                    else:
-                        k = len(members)
-                        s = np.empty((k, state_dim))
-                        a = np.empty(k, dtype=np.int64)
-                        r = np.empty(k)
-                        s2 = np.empty((k, state_dim))
-                        d = np.empty(k, dtype=bool)
-                        for bj, (i, bi, env, agent) in enumerate(members):
-                            action = agent.policy.select(q[bi])
-                            step = env.step(action)
-                            s[bj] = states[i]
-                            a[bj] = action
-                            r[bj] = step.reward
-                            s2[bj] = step.state
-                            d[bj] = step.done
-                            totals[i] += step.reward
-                            states[i] = step.state
-                        learner.observe_rows(wave_rows, s, a, r, s2, d)
+        for (slot, _), idxs in waves.items():
+            # Agents are independent within a wave, so sort by row: a
+            # full wave is then rows 0..n-1, which the stacks' and the
+            # learner's all-rows path (rows=None) assumes.
+            idxs.sort(key=lambda i: self._row[pairs[i][0]])
+            rows = np.array([self._row[pairs[i][0]] for i in idxs], dtype=np.int64)
+            stack = self._stacks[slot]
+            learner = self._learners[slot]
+            sel = None if len(rows) == stack.n else rows
+            envs = [pairs[i][1] for i in idxs]
+            policies = [self._agents[pairs[i][0]].policy for i in idxs]
+            states = np.stack([env.reset() for env in envs])
+            k = len(idxs)
+            for _ in range(horizon):
+                q = stack.forward(states, rows=sel)
+                a = np.empty(k, dtype=np.int64)
+                r = np.empty(k)
+                s2 = np.empty_like(states)
+                d = np.empty(k, dtype=bool)
+                for bj, (env, policy) in enumerate(zip(envs, policies)):
+                    action = policy.select(q[bj])
+                    step = env.step(action)
+                    a[bj] = action
+                    r[bj] = step.reward
+                    s2[bj] = step.state
+                    d[bj] = step.done
+                    totals[idxs[bj]] += step.reward
+                learner.observe_rows(rows, states, a, r, s2, d)
+                states = s2
         for learner in self._learners.values():
             learner.sync_out()
-        rewards = list(totals)
         optima = [env.max_episode_reward() for _, env in pairs]
-        return rewards, optima
+        return totals, optima
 
 
 def greedy_rollout(qnet, dev_stream) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -743,43 +663,3 @@ def schedule_rollout(qnet, envs) -> list[np.ndarray]:
         active = still
     return [np.nan_to_num(env.controlled_kw) for env in envs]
 
-
-def train_residence_segment(
-    task: tuple[dict[str, DQNAgent], "object", int]
-) -> tuple[list[float], list[float], dict[str, dict]]:
-    """Process-pool worker: serial episode training over one residence.
-
-    ``task`` is ``(agents_by_slot, residence_segment, horizon)`` where
-    the segment is the residence's stream sliced to one share interval.
-    Residences are independent between share rounds, so sharding them
-    across processes is exact: each agent sees the same observation
-    sequence as in-process serial training.  Returns the per-episode
-    rewards, the optimal rewards, and each agent's full ``state_dict``
-    for the parent process to load back in place.
-
-    This is the *stateless* sharding worker (everything ships through
-    pickles each call); the persistent-pool path in
-    ``repro.core.pfdrl`` supersedes it for repeated segments.
-    """
-    agents, segment, horizon = task
-    rewards: list[float] = []
-    optima: list[float] = []
-    n = segment.n_minutes
-    for lo in range(0, n, horizon):
-        hi = min(lo + horizon, n)
-        if hi - lo < 2:
-            continue
-        for dev_stream in segment.devices.values():
-            agent = agents.get(dev_stream.device) or agents["*"]
-            chunk = dev_stream.slice(lo, hi)
-            env = DeviceEnv(
-                chunk.predicted_kw,
-                chunk.real_kw,
-                chunk.on_kw,
-                chunk.standby_kw,
-                ground_truth_mode=chunk.mode,
-                device=chunk.device,
-            )
-            rewards.append(agent.run_episode(env, learn=True))
-            optima.append(env.max_episode_reward())
-    return rewards, optima, {slot: agent.state_dict() for slot, agent in agents.items()}

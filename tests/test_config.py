@@ -144,7 +144,7 @@ class TestConfigToDict:
         d = config_to_dict(PFDRLConfig())
         assert set(d) == {
             "data", "forecast", "dqn", "federation", "faults", "episodes",
-            "ems_batched", "ems_workers", "scenario", "seed",
+            "ems_workers", "scenario", "seed",
         }
         assert d["scenario"] is None  # scenario pack is opt-in
         assert d["dqn"]["memory_capacity"] == 2000

@@ -261,11 +261,12 @@ class TestReplayPayloadSize:
 
 # ----------------------------------------------------------------------
 class TestTrainerPoolLifecycle:
-    @pytest.mark.parametrize("batched", [False, True])
-    def test_pool_persists_across_days(self, streams, dqn_config, batched):
+    @pytest.mark.parametrize("device_scope", [False, True])
+    def test_pool_persists_across_days(self, streams, dqn_config, device_scope):
         tr = make_trainer(
-            streams, dqn_config, agent_scope="device",
-            n_workers=2, batched=batched,
+            streams, dqn_config,
+            agent_scope="device" if device_scope else "residence",
+            n_workers=2,
         )
         tr.run_day()
         assert tr._pool is not None
@@ -277,9 +278,9 @@ class TestTrainerPoolLifecycle:
         assert tr._pool is None
 
     def test_close_preserves_state_and_allows_retraining(self, streams, dqn_config):
-        serial = make_trainer(streams, dqn_config, agent_scope="device", batched=True)
+        serial = make_trainer(streams, dqn_config, agent_scope="device")
         pooled = make_trainer(
-            streams, dqn_config, agent_scope="device", batched=True, n_workers=2
+            streams, dqn_config, agent_scope="device", n_workers=2
         )
         r_serial_1 = serial.run_day()
         r_pooled_1 = pooled.run_day()
@@ -293,16 +294,16 @@ class TestTrainerPoolLifecycle:
 
     def test_state_restore_roundtrip_with_pool(self, streams, dqn_config):
         reference = make_trainer(
-            streams, dqn_config, agent_scope="device", batched=True
+            streams, dqn_config, agent_scope="device"
         )
         pooled = make_trainer(
-            streams, dqn_config, agent_scope="device", batched=True, n_workers=2
+            streams, dqn_config, agent_scope="device", n_workers=2
         )
         reference.run_day()
         pooled.run_day()
         snapshot = pooled.state()
         resumed = make_trainer(
-            streams, dqn_config, agent_scope="device", batched=True, n_workers=2
+            streams, dqn_config, agent_scope="device", n_workers=2
         )
         resumed.restore(snapshot)
         assert resumed._pool is None  # restore drops any live pool
@@ -314,7 +315,7 @@ class TestTrainerPoolLifecycle:
 
     def test_worker_exception_shuts_pool_down(self, streams, dqn_config, monkeypatch):
         tr = make_trainer(
-            streams, dqn_config, agent_scope="device", batched=True, n_workers=2
+            streams, dqn_config, agent_scope="device", n_workers=2
         )
         # Patched before the fork, so the children inherit the failure.
         def boom(self, pairs):
@@ -338,7 +339,6 @@ class TestTrainerPoolLifecycle:
                 batch_size=8, memory_capacity=200, learn_every=4,
             ),
             ems_workers=2,
-            ems_batched=True,
         )
         system = PFDRLSystem(cfg)
         store = CheckpointStore(tmp_path / "ckpt")

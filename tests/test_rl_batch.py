@@ -1,31 +1,37 @@
-"""Tests for the batched hot-path execution engine (repro.rl.batch).
+"""Tests for the batched training engine (repro.rl.batch).
 
-Semantics-preservation contract:
+Semantics-preservation contract, checked against the serial reference
+trainer of ``tests/ems_oracle.py``:
 
 - :class:`StackedQNet` forward is *bitwise* identical to each member
   network's own batch-of-1 forward (broadcast ``matmul`` computes each
   stacked item exactly as the serial product);
 - vectorized greedy evaluation returns bit-identical ``EMSEvaluation``
   arrays to the per-step rollout;
-- device-scope batched training is bit-identical to serial training
-  (per-agent observation order is unchanged);
-- residence-scope batched training is aggregate-equivalent (same work
-  and accounting; devices interleave minute-major);
+- engine training is bit-identical to the serial ``run_episode`` loop
+  in both agent scopes — day results, full trainer state and
+  evaluation — over generated configurations, with and without a
+  restore at a day boundary;
 - process-parallel residence sharding is bit-identical to serial
   training in either scope.
 """
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from repro.config import DQNConfig, FederationConfig
 from repro.core.pfdrl import PFDRLTrainer
-from repro.core.streams import build_streams
+from repro.core.streams import ResidenceStream, build_streams
 from repro.data import generate_neighborhood
-from repro.nn.optim import StackedAdam
 from repro.nn.serialization import get_weights
+from repro.parallel import fork_available
+from repro.persist.state import flatten_state
 from repro.rl.batch import BatchedEpisodeEngine, StackedQNet, greedy_rollout
 from repro.rl.dqn import DQNAgent
+
+from tests.ems_oracle import SerialPFDRLTrainer
 
 
 @pytest.fixture(scope="module")
@@ -45,15 +51,14 @@ def streams():
     return build_streams(ds)
 
 
-def make_trainer(streams, dqn_config, **kwargs):
+def make_trainer(streams, dqn_config, cls=PFDRLTrainer, **kwargs):
     kwargs.setdefault("sharing", "personalized")
-    return PFDRLTrainer(
-        streams,
-        dqn_config=dqn_config,
-        federation_config=FederationConfig(alpha=6, gamma_hours=6.0),
-        seed=0,
-        **kwargs,
-    )
+    kwargs.setdefault("federation_config", FederationConfig(alpha=6, gamma_hours=6.0))
+    return cls(streams, dqn_config=dqn_config, seed=0, **kwargs)
+
+
+def make_oracle(streams, dqn_config, **kwargs):
+    return make_trainer(streams, dqn_config, cls=SerialPFDRLTrainer, **kwargs)
 
 
 def assert_weights_equal(tr_a, tr_b):
@@ -64,6 +69,22 @@ def assert_weights_equal(tr_a, tr_b):
             get_weights(tr_a._agents[key].qnet), get_weights(tr_b._agents[key].qnet)
         ):
             np.testing.assert_array_equal(wa, wb)
+
+
+def assert_states_equal(state_a, state_b):
+    """Two ``PFDRLTrainer.state()`` trees must match bit-for-bit."""
+    arrays_a, values_a = flatten_state(state_a)
+    arrays_b, values_b = flatten_state(state_b)
+    assert values_a == values_b
+    assert arrays_a.keys() == arrays_b.keys()
+    for path, arr in arrays_a.items():
+        assert arr.dtype == arrays_b[path].dtype, path
+        np.testing.assert_array_equal(arr, arrays_b[path], err_msg=path)
+
+
+def assert_days_equal(day_a, day_b):
+    # repr round-trips floats exactly and prints NaN equal to itself.
+    assert repr(day_a) == repr(day_b)
 
 
 def assert_evaluations_equal(ev_a, ev_b):
@@ -123,16 +144,6 @@ class TestStackedQNet:
                 assert lin.W.data.base is stack._weights[j]
                 assert lin.b.data.base is stack._biases[j]
 
-    def test_ensure_adopted_recovers_rebound_parameter(self, dqn_config):
-        agents = self.make_agents(dqn_config, n=2)
-        stack = StackedQNet([a.qnet for a in agents])
-        lin = agents[1].qnet._linears[0]
-        fresh = lin.W.data + 5.0  # standalone array, not an arena view
-        lin.W.data = fresh
-        stack.ensure_adopted()
-        assert lin.W.data.base is stack._weights[0]
-        np.testing.assert_array_equal(lin.W.data, fresh)
-
     def test_architecture_mismatch_rejected(self, dqn_config):
         a = DQNAgent(dqn_config, seed=0)
         b = DQNAgent(DQNConfig(hidden_width=12), seed=0)
@@ -145,9 +156,9 @@ class TestVectorizedEvaluation:
     def test_bit_identical_to_serial_rollout(self, streams, dqn_config, agent_scope):
         tr = make_trainer(streams, dqn_config, agent_scope=agent_scope)
         tr.run_day()  # trained weights, so argmax rows are non-trivial
-        assert_evaluations_equal(
-            tr.evaluate(vectorized=True), tr.evaluate(vectorized=False)
-        )
+        oracle = make_oracle(streams, dqn_config, agent_scope=agent_scope)
+        oracle.restore(tr.state())
+        assert_evaluations_equal(tr.evaluate(), oracle.evaluate())
 
     def test_greedy_rollout_matches_env_semantics(self, streams, dqn_config):
         tr = make_trainer(streams, dqn_config)
@@ -165,12 +176,34 @@ class TestVectorizedEvaluation:
         assert (controlled[actions == 1] <= cap + 1e-12).all()
 
 
+def assert_arena_bound(engine):
+    """Every member's weights, target weights, Adam moments and replay
+    rings must still be views of the engine's stacked rows."""
+
+    def same(a, b):
+        return (
+            a.shape == b.shape
+            and a.__array_interface__["data"][0] == b.__array_interface__["data"][0]
+        )
+
+    for slot, stack in engine._stacks.items():
+        learner = engine._learners[slot]
+        for net_stack in (stack, engine._targets[slot]):
+            for i, qn in enumerate(net_stack.qnets):
+                for j, lin in enumerate(qn._linears):
+                    assert same(lin.W.data, net_stack._weights[j][i])
+                    assert same(lin.b.data, net_stack._biases[j][i])
+        for i, agent in enumerate(learner.agents):
+            for k, (m, v) in enumerate(zip(agent.optimizer._m, agent.optimizer._v)):
+                assert same(m, learner.optim._m[k][i])
+                assert same(v, learner.optim._v[k][i])
+            assert same(agent.replay._states, learner.replay._states[i])
+
+
 class TestBatchedTraining:
     def test_device_scope_bit_identical(self, streams, dqn_config):
-        serial = make_trainer(streams, dqn_config, agent_scope="device")
-        batched = make_trainer(
-            streams, dqn_config, agent_scope="device", batched=True
-        )
+        serial = make_oracle(streams, dqn_config, agent_scope="device")
+        batched = make_trainer(streams, dqn_config, agent_scope="device")
         for _ in range(2):
             ra = serial.run_day()
             rb = batched.run_day()
@@ -178,50 +211,136 @@ class TestBatchedTraining:
         assert_weights_equal(serial, batched)
         assert_evaluations_equal(serial.evaluate(), batched.evaluate())
 
-    def test_residence_scope_aggregate_equivalent(self, streams, dqn_config):
-        serial = make_trainer(streams, dqn_config)
-        batched = make_trainer(streams, dqn_config, batched=True)
-        ra = serial.run_day()
-        rb = batched.run_day()
-        # Same work and accounting: each agent sees the same number of
-        # observations (its devices' minutes), so learn triggers, share
-        # rounds and broadcast payloads line up exactly.
-        assert ra.sgd_steps == rb.sgd_steps
-        assert ra.n_broadcast_events == rb.n_broadcast_events
-        assert ra.params_broadcast == rb.params_broadcast
-        for key in serial._agents:
-            assert (
-                serial._agents[key]._observed == batched._agents[key]._observed
-            )
-        assert np.isfinite(rb.mean_reward)
-        ev = batched.evaluate()
-        assert np.isfinite(ev.saved_standby_kwh).all()
-
     def test_share_rounds_and_restore_keep_arena_bound(self, streams, dqn_config):
         """In-place share rounds and checkpoint restore must not detach views."""
-        tr = make_trainer(streams, dqn_config, agent_scope="device", batched=True)
-        tr.run_day()  # builds the engine, fires γ rounds
-        snapshot = tr.state()
-        tr.run_day()
-        tr.restore(snapshot)
-        assert tr._engine is not None
-        for stack in tr._engine._stacks.values():
-            for i, qn in enumerate(stack.qnets):
-                for j, lin in enumerate(qn._linears):
-                    assert lin.W.data.base is stack._weights[j]
-        # And the restored batched trainer replays day 2 identically.
-        reference = make_trainer(
-            streams, dqn_config, agent_scope="device", batched=True
+        cases = [("residence", 1), ("device", 1)]
+        if fork_available():
+            cases.append(("residence", 2))
+        for agent_scope, n_workers in cases:
+            tr = make_trainer(
+                streams, dqn_config, agent_scope=agent_scope, n_workers=n_workers
+            )
+            tr.run_day()  # builds the engine, fires γ rounds
+            snapshot = tr.state()
+            tr.run_day()
+            tr.restore(snapshot)
+            assert tr._engine is not None
+            assert_arena_bound(tr._engine)
+            # And the restored trainer replays day 2 identically.
+            reference = make_oracle(streams, dqn_config, agent_scope=agent_scope)
+            reference.run_day()
+            r_ref = reference.run_day()
+            assert tr.run_day() == r_ref
+            assert_arena_bound(tr._engine)
+            assert_states_equal(tr.state(), reference.state())
+            tr.close()
+
+
+DEVICES = ("tv", "light", "fridge")
+
+
+@st.composite
+def engine_cases(draw):
+    """A small generated training setup for the engine-vs-oracle check."""
+    n_res = draw(st.integers(2, 3))
+    mixes = [
+        draw(st.lists(st.sampled_from(DEVICES), min_size=1, max_size=3, unique=True))
+        for _ in range(n_res)
+    ]
+    return {
+        "mixes": mixes,
+        "agent_scope": draw(st.sampled_from(["residence", "device"])),
+        "sharing": draw(st.sampled_from(["personalized", "full", "none"])),
+        "learn_every": draw(st.integers(1, 3)),
+        "gamma_hours": draw(st.sampled_from([0.5, 3.0])),
+        "double_q": draw(st.booleans()),
+        "n_workers": draw(st.sampled_from([1, 2])),
+        "restore": draw(st.booleans()),
+    }
+
+
+@pytest.fixture(scope="module")
+def full_streams():
+    ds = generate_neighborhood(
+        n_residences=3, n_days=2, minutes_per_day=120, device_types=DEVICES, seed=23,
+    )
+    return build_streams(ds)
+
+
+class TestEngineMatchesOracle:
+    @settings(
+        max_examples=15,
+        deadline=None,
+        derandomize=True,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(case=engine_cases())
+    # Residence scope with unequal waves, in process, across a restore.
+    @example(
+        case={
+            "mixes": [["tv", "light", "fridge"], ["light"], ["fridge", "tv"]],
+            "agent_scope": "residence",
+            "sharing": "personalized",
+            "learn_every": 1,
+            "gamma_hours": 0.5,
+            "double_q": False,
+            "n_workers": 1,
+            "restore": True,
+        }
+    )
+    def test_generated_configs_bitwise(self, full_streams, case):
+        """Engine == serial oracle on day results, state() and evaluate().
+
+        Ragged device mixes give residence scope unequal occurrence
+        waves; a restore at the day boundary rebuilds the engine from a
+        checkpointed state mid-run.
+        """
+        streams = [
+            ResidenceStream(
+                residence_id=s.residence_id,
+                devices={d: s.devices[d] for d in mix},
+                minutes_per_day=s.minutes_per_day,
+            )
+            for s, mix in zip(full_streams, case["mixes"])
+        ]
+        dqn = DQNConfig(
+            hidden_width=8, n_hidden_layers=2, learning_rate=0.01,
+            epsilon_decay_steps=200, batch_size=8, memory_capacity=100,
+            learn_every=case["learn_every"], target_replace_iter=7,
+            double_q=case["double_q"],
         )
-        reference.run_day()
-        r_ref = reference.run_day()
-        assert tr.run_day() == r_ref
+        kwargs = dict(
+            agent_scope=case["agent_scope"],
+            sharing=case["sharing"],
+            federation_config=FederationConfig(
+                alpha=1, gamma_hours=case["gamma_hours"]
+            ),
+        )
+        oracle = make_oracle(streams, dqn, **kwargs)
+        engine = make_trainer(streams, dqn, n_workers=case["n_workers"], **kwargs)
+        try:
+            assert_days_equal(engine.run_day(), oracle.run_day())
+            if case["restore"]:
+                snapshot = engine.state()
+                engine.close()
+                engine = make_trainer(
+                    streams, dqn, n_workers=case["n_workers"], **kwargs
+                )
+                engine.restore(snapshot)
+            assert_days_equal(engine.run_day(), oracle.run_day())
+            assert engine._engine is not None  # the stacked engine really ran
+            assert_states_equal(engine.state(), oracle.state())
+            engine.finalize()
+            oracle.finalize()
+            assert_evaluations_equal(engine.evaluate(), oracle.evaluate())
+        finally:
+            engine.close()
 
 
 class TestParallelTraining:
     @pytest.mark.parametrize("agent_scope", ["residence", "device"])
     def test_two_workers_bit_identical_to_serial(self, streams, dqn_config, agent_scope):
-        serial = make_trainer(streams, dqn_config, agent_scope=agent_scope)
+        serial = make_oracle(streams, dqn_config, agent_scope=agent_scope)
         sharded = make_trainer(
             streams, dqn_config, agent_scope=agent_scope, n_workers=2
         )
@@ -248,96 +367,3 @@ class TestEngineChunks:
         agents = {(0, "*"): DQNAgent(dqn_config, seed=0)}
         engine = BatchedEpisodeEngine([[(0, "*")]], agents)
         assert engine.run_chunk([]) == ([], [])
-
-
-class TestFloat32Moments:
-    """Opt-in float32 Adam moment storage (``DQNConfig.float32_moments``).
-
-    Halving the arena weakens the bitwise serial-exact contract to
-    tolerance-equivalence, so the flag is off by default; these tests
-    pin the tolerance, the dtype plumbing, and the checkpoint cast.
-    """
-
-    shapes = [(4, 2), (2,)]
-
-    def build(self, moment_dtype, n=3, seed=123):
-        from repro.nn.module import Parameter
-        from repro.nn.optim import Adam
-
-        rng = np.random.default_rng(seed)
-        inits = [[rng.standard_normal(s) for s in self.shapes] for _ in range(n)]
-        members = [
-            Adam([Parameter(w.copy()) for w in ws], lr=0.01) for ws in inits
-        ]
-        stacked = StackedAdam(members, moment_dtype=moment_dtype)
-        params = [
-            np.stack([m.params[k].data for m in members])
-            for k in range(len(self.shapes))
-        ]
-        return members, stacked, params
-
-    def run_steps(self, stacked, params, n_steps=50, seed=7):
-        rng = np.random.default_rng(seed)
-        for _ in range(n_steps):
-            grads = [rng.standard_normal((stacked.n, *s)) for s in self.shapes]
-            stacked.step(params, grads)
-        return params
-
-    def test_default_dtype_is_float64(self):
-        _, stacked, _ = self.build(np.float64)
-        assert all(m.dtype == np.float64 for m in stacked._m)
-        assert all(v.dtype == np.float64 for v in stacked._v)
-        assert DQNConfig().float32_moments is False
-
-    def test_float32_dtype_threads_to_slots(self):
-        members, stacked, _ = self.build(np.float32)
-        assert all(m.dtype == np.float32 for m in stacked._m)
-        assert all(v.dtype == np.float32 for v in stacked._v)
-        # member slot views share the stack rows, so they downcast too
-        for member in members:
-            assert all(m.dtype == np.float32 for m in member._m)
-
-    def test_invalid_dtype_rejected(self):
-        from repro.nn.module import Parameter
-        from repro.nn.optim import Adam
-
-        members = [Adam([Parameter(np.zeros(2))], lr=0.01)]
-        with pytest.raises(ValueError):
-            StackedAdam(members, moment_dtype=np.int32)
-
-    def test_float32_tracks_float64_within_tolerance(self):
-        _, s64, p64 = self.build(np.float64)
-        _, s32, p32 = self.build(np.float32)
-        self.run_steps(s64, p64)
-        self.run_steps(s32, p32)
-        for a, b in zip(p32, p64):
-            np.testing.assert_allclose(a, b, rtol=1e-4, atol=1e-6)
-        # ... but not bitwise: the cheaper arena really is in play.
-        assert any(not np.array_equal(a, b) for a, b in zip(p32, p64))
-
-    def test_checkpoint_round_trip_keeps_dtype(self):
-        members, stacked, params = self.build(np.float32)
-        self.run_steps(stacked, params, n_steps=10)
-        snaps = [m.state_dict() for m in members]
-
-        fresh_members, fresh_stacked, _ = self.build(np.float32)
-        for member, snap in zip(fresh_members, snaps):
-            member.load_state_dict(snap)
-        for k in range(len(self.shapes)):
-            assert fresh_stacked._m[k].dtype == np.float32
-            np.testing.assert_array_equal(fresh_stacked._m[k], stacked._m[k])
-            np.testing.assert_array_equal(fresh_stacked._v[k], stacked._v[k])
-
-    def test_config_flag_threads_through_batched_trainer(self, streams):
-        config = DQNConfig(
-            hidden_width=10, learning_rate=0.01, epsilon_decay_steps=200,
-            batch_size=8, memory_capacity=200, learn_every=2,
-            float32_moments=True,
-        )
-        trainer = make_trainer(streams, config, batched=True)
-        result = trainer.run_day()
-        assert np.isfinite(result.mean_reward)
-        learners = trainer._engine._learners
-        assert learners, "expected at least one stacked learner"
-        for learner in learners.values():
-            assert all(m.dtype == np.float32 for m in learner.optim._m)
