@@ -17,6 +17,7 @@ first minute.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Mapping
 
 import numpy as np
 
@@ -29,6 +30,7 @@ __all__ = [
     "OnlineController",
     "DeviceNominals",
     "ControllerStats",
+    "check_readings",
     "forecast_block",
 ]
 
@@ -45,37 +47,74 @@ class DeviceNominals:
             raise ValueError("need on_kw > 0 and standby_kw >= 0")
 
 
+def check_readings(readings: Mapping[str, object]) -> None:
+    """The one reading rule of every deployment path.
+
+    Readings are metered kW, per device a value or a trace: finite and
+    non-negative.  NaN or inf would otherwise pass a ``< 0`` test and
+    silently turn forecasts, actions and ``saved_kwh`` into NaN.  Shared
+    by :meth:`OnlineController.observe_minute` (one minute of every
+    device) and :meth:`repro.serve.ModelSnapshot.schedule` (one query's
+    traces).  All devices are checked at once; only a failure looks for
+    the first offending device to name it.
+    """
+    values = [np.ravel(np.asarray(v, dtype=np.float64)) for v in readings.values()]
+    every = np.concatenate(values) if values else np.empty(0)
+    if np.isfinite(every).all() and not (every < 0).any():
+        return
+    for device, v in zip(readings, values):
+        if not np.isfinite(v).all():
+            raise ValueError(f"non-finite reading for {device!r}")
+        if (v < 0).any():
+            raise ValueError(f"negative reading for {device!r}")
+
+
 def forecast_block(
     forecaster: Forecaster,
-    history,
+    histories,
     nominals: DeviceNominals,
-    minutes_done: int,
+    minutes_done,
     minutes_per_day: int,
-    t0: int = 0,
-) -> tuple[np.ndarray, bool]:
-    """One horizon block of per-minute forecasts (kW) at a boundary.
+    t0=0,
+) -> tuple[np.ndarray, int]:
+    """Horizon blocks of per-minute forecasts (kW), one per history.
 
     This is the exact refresh rule of the online minute loop, shared by
-    :class:`OnlineController` and the batched serving path
-    (:mod:`repro.serve`) so both produce bit-identical forecasts: until
-    a full lag window of *history* exists, fall back to persistence (the
-    last reading, or the standby level before any reading); afterwards
-    run one model prediction on the normalised window with the
-    controller's time-feature phase (``minutes_done`` minutes past
-    ``t0``).  Returns ``(block_kw, used_model)``.
+    :class:`OnlineController` (one history) and the batched serving path
+    (:mod:`repro.serve`, every block of a batch for one residence's
+    device) so both produce bit-identical forecasts.  Row ``i`` forecasts
+    the block after ``histories[i]``, at ``minutes_done[i]`` minutes past
+    ``t0[i]`` (the time-feature phase); ``minutes_done`` and ``t0`` are
+    per-row sequences or scalars shared by every row.
+
+    Until a full lag window exists a row falls back to persistence (the
+    last reading, or the standby level before any reading).  The other
+    rows go through one :meth:`~repro.forecast.Forecaster.predict_rows`
+    call on their normalised windows, which predicts each row exactly as
+    a batch of one.  Returns ``(blocks (M, horizon), n_model_rows)``.
     """
-    if len(history) < forecaster.window:
-        last = history[-1] if len(history) else nominals.standby_kw
-        return np.full(forecaster.horizon, last), False
-    window = normalize_power(np.asarray(history[-forecaster.window:]), nominals.on_kw)
-    X = window[None, :]
+    n = len(histories)
+    window = forecaster.window
+    blocks = np.empty((n, forecaster.horizon))
+    rows = []
+    for i, history in enumerate(histories):
+        if len(history) >= window:
+            rows.append(i)
+        else:
+            blocks[i] = history[-1] if len(history) else nominals.standby_kw
+    if not rows:
+        return blocks, 0
+    X = normalize_power(
+        np.stack([np.asarray(histories[i][-window:]) for i in rows]), nominals.on_kw
+    )
     if forecaster.n_extra:
-        offsets = np.asarray([minutes_done])
+        offsets = np.broadcast_to(minutes_done, (n,))[rows]
+        phase0 = np.broadcast_to(t0, (n,))[rows]
         X = augment_time_features(
-            X, offsets, minutes_per_day, t0=t0, harmonics=forecaster.n_extra // 2
+            X, offsets, minutes_per_day, t0=phase0, harmonics=forecaster.n_extra // 2
         )
-    pred = np.clip(forecaster.predict(X)[0], 0.0, None) * nominals.on_kw
-    return pred, True
+    blocks[rows] = np.clip(forecaster.predict_rows(X), 0.0, None) * nominals.on_kw
+    return blocks, len(rows)
 
 
 @dataclass
@@ -158,17 +197,16 @@ class OnlineController:
         have = device in self._pending_forecast
         if have and pos < self._horizon(device):
             return
-        block, used_model = forecast_block(
+        blocks, n_model_rows = forecast_block(
             fc,
-            self._history[device],
+            [self._history[device]],
             self.nominals[device],
             self.stats.minutes,
             self.minutes_per_day,
             t0=self.t0,
         )
-        self._pending_forecast[device] = block
-        if used_model:
-            self.stats.forecasts_made += 1
+        self._pending_forecast[device] = blocks[0]
+        self.stats.forecasts_made += n_model_rows
         self._forecast_pos[device] = 0
 
     # ------------------------------------------------------------------
@@ -182,9 +220,8 @@ class OnlineController:
             raise ValueError("readings must cover exactly the managed devices")
         actions: dict[str, int] = {}
         load_kw = 0.0
+        check_readings(readings)
         for device, value in readings.items():
-            if value < 0:
-                raise ValueError(f"negative reading for {device!r}")
             self._maybe_refresh_forecast(device)
             nom = self.nominals[device]
             pred = float(self._pending_forecast[device][self._forecast_pos[device]])

@@ -18,7 +18,8 @@ class Forecaster(abc.ABC):
       continues from the current weights (this is what makes federated
       rounds meaningful).
     - ``predict(X)`` maps ``(n, window)`` features to ``(n, horizon)``
-      predictions.
+      predictions; ``predict_rows(X)`` does the same with each row
+      predicted as a batch of one (bitwise equal to per-row ``predict``).
     - ``get_weights()`` / ``set_weights()`` expose the parameters that go
       on the wire in the DFL broadcast, in a stable order.
     - ``clone()`` builds a fresh untrained model with identical
@@ -73,6 +74,22 @@ class Forecaster(abc.ABC):
     @abc.abstractmethod
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Predict ``(n, horizon)`` outputs for ``(n, window)`` inputs."""
+
+    def predict_rows(self, X: np.ndarray) -> np.ndarray:
+        """Predict each row of ``(n, window)`` *X* as its own batch of one.
+
+        Row ``i`` of the result is bitwise ``predict(X[i:i+1])[0]`` — the
+        contract the serving path relies on to answer many forecast
+        blocks at once exactly as the per-minute controller does.  This
+        loop is exact for every model; models with a faster stacked form
+        (:class:`~repro.forecast.lstm_forecaster.LSTMForecaster`)
+        override it.
+        """
+        X = self._check_X(X)
+        out = np.empty((X.shape[0], self.horizon))
+        for i in range(X.shape[0]):
+            out[i] = self.predict(X[i : i + 1])[0]
+        return out
 
     @abc.abstractmethod
     def get_weights(self) -> list[np.ndarray]:

@@ -82,7 +82,17 @@ class LSTMForecaster(Forecaster):
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         X = self._check_X(X)
-        return self.model.forward(self._to_sequence(X))
+        return self.model.forward(self._to_sequence(X), cache=False)
+
+    def predict_rows(self, X: np.ndarray) -> np.ndarray:
+        """One stacked forward over ``(n, 1, window, features)``.
+
+        Each step runs one ``(1, F) @ (F, 4H)`` product per row inside a
+        stacked ``matmul``, so row ``i`` is bitwise ``predict(X[i:i+1])``
+        at a fraction of ``n`` separate forwards.
+        """
+        X = self._check_X(X)
+        return self.model.forward(self._to_sequence(X)[:, None], cache=False)[:, 0]
 
     # ------------------------------------------------------------------
     def get_weights(self) -> list[np.ndarray]:

@@ -49,13 +49,20 @@ class Linear(Module):
     def parameters(self) -> list[Parameter]:
         return [self.W, self.b]
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray, cache: bool = True) -> np.ndarray:
+        """``x @ W + b`` over the last axis; any leading axes are batch.
+
+        A stacked ``(M, 1, F)`` input runs one batch-of-one product per
+        row (bitwise equal to ``M`` separate ``(1, F)`` calls).  With
+        ``cache=False`` (inference) the input is not kept for
+        :meth:`backward`, and any earlier cache is dropped.
+        """
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        if x.shape[1] != self.in_features:
+        if x.shape[-1] != self.in_features:
             raise ValueError(
-                f"expected input dim {self.in_features}, got {x.shape[1]}"
+                f"expected input dim {self.in_features}, got {x.shape[-1]}"
             )
-        self._x = x
+        self._x = x if cache else None
         return x @ self.W.data + self.b.data
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:

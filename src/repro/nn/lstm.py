@@ -10,6 +10,14 @@ Shapes
 Input  ``x``: ``(B, T, F)`` — batch, time, features.
 Output: ``(B, H)`` (last hidden state) or ``(B, T, H)`` when
 ``return_sequences=True``.
+
+Inference may add leading stack axes: ``(M, B, T, F)`` runs ``M``
+independent batches against the same weights, one ``(B, F) @ (F, 4H)``
+product per stack entry inside one stacked ``matmul`` per step.  With
+``B = 1`` every row's result is bitwise equal to a separate batch-of-one
+forward, which one flattened ``(M, F) @ (F, 4H)`` gemm is not (BLAS
+blocks a many-row product differently).  Only ``(B, T, F)`` training
+forwards can be back-propagated.
 """
 
 from __future__ import annotations
@@ -70,35 +78,45 @@ class LSTM(Module):
         return [self.Wx, self.Wh, self.b]
 
     # ------------------------------------------------------------------
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray, cache: bool = True) -> np.ndarray:
+        """Run the sequence; ``cache=False`` (inference) keeps no backward state.
+
+        ``x`` is ``(T, F)``, ``(B, T, F)`` or a stack ``(..., B, T, F)``
+        (see the module docstring).  Without the cache a forward holds
+        nothing after it returns, and any earlier cache is dropped.
+        """
         x = np.asarray(x, dtype=np.float64)
         if x.ndim == 2:  # (T, F) convenience -> batch of 1
             x = x[None, :, :]
-        if x.ndim != 3 or x.shape[2] != self.input_size:
+        if x.ndim < 3 or x.shape[-1] != self.input_size:
             raise ValueError(
                 f"expected input (B, T, {self.input_size}), got {x.shape}"
             )
-        B, T, _ = x.shape
+        lead, T = x.shape[:-2], x.shape[-2]
         H = self.hidden_size
+        keep = cache and x.ndim == 3  # backward handles (B, T, F) only
 
-        h = np.zeros((B, H))
-        c = np.zeros((B, H))
-        hs = np.zeros((B, T, H))
+        h = np.zeros((*lead, H))
+        c = np.zeros((*lead, H))
+        hs = np.zeros((*lead, T, H))
         cache_steps = []
         for t in range(T):
-            z = x[:, t, :] @ self.Wx.data + h @ self.Wh.data + self.b.data
-            i = _sigmoid(z[:, :H])
-            f = _sigmoid(z[:, H : 2 * H])
-            g = np.tanh(z[:, 2 * H : 3 * H])
-            o = _sigmoid(z[:, 3 * H :])
+            z = x[..., t, :] @ self.Wx.data + h @ self.Wh.data + self.b.data
+            i = _sigmoid(z[..., :H])
+            f = _sigmoid(z[..., H : 2 * H])
+            g = np.tanh(z[..., 2 * H : 3 * H])
+            o = _sigmoid(z[..., 3 * H :])
             c_prev = c
             c = f * c_prev + i * g
             tc = np.tanh(c)
             h_prev = h
             h = o * tc
-            hs[:, t, :] = h
-            cache_steps.append((i, f, g, o, c_prev, tc, h_prev))
-        self._cache = {"x": x, "steps": cache_steps, "B": B, "T": T}
+            hs[..., t, :] = h
+            if keep:
+                cache_steps.append((i, f, g, o, c_prev, tc, h_prev))
+        self._cache = (
+            {"x": x, "steps": cache_steps, "B": lead[0], "T": T} if keep else None
+        )
         return hs if self.return_sequences else h
 
     # ------------------------------------------------------------------
@@ -198,10 +216,11 @@ class LSTMRegressor(Module):
             out.extend(layer.parameters())
         return out + self.head.parameters()
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray, cache: bool = True) -> np.ndarray:
+        """``(..., B, T, F) -> (..., B, out_dim)``; ``cache=False`` for inference."""
         for layer in self.layers:
-            x = layer.forward(x)
-        return self.head.forward(x)
+            x = layer.forward(x, cache=cache)
+        return self.head.forward(x, cache=cache)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         grad = self.head.backward(grad_out)

@@ -10,15 +10,20 @@ vectorised greedy path, bit-identical to streaming the same readings
 through an :class:`repro.core.OnlineController` built from the same
 checkpoint:
 
-- per device, forecasts refresh block-by-block with the *exact*
-  controller rule (:func:`repro.core.controller.forecast_block` —
-  persistence until a full lag window exists, then one model prediction
-  per horizon boundary);
+- forecasts follow the *exact* controller refresh rule
+  (:func:`repro.core.controller.forecast_block` — persistence until a
+  full lag window exists, then one model prediction per horizon
+  boundary), but stacked: every ``(query, horizon block)`` of one
+  (residence, device) in a batch goes through one ``forecast_block``
+  call, whose model rows are one
+  :meth:`~repro.forecast.Forecaster.predict_rows` forward, each row
+  bitwise a batch of one;
 - actions come from one broadcast matmul over ``(M, T, state_dim)``
   stacked states followed by ``argmax`` — the repo's pinned
   gemm-argmax ≡ per-minute-argmax contract (see ``repro.rl.batch``);
 - controlled power uses the training environment's pass-through
-  semantics (:func:`repro.rl.env.apply_actions`).
+  semantics (:func:`repro.rl.env.apply_actions`), and withheld energy
+  the controller's per-minute running sum.
 
 Immutability is enforced, not advisory: every weight stack, every
 member-parameter view and every forecaster array is marked
@@ -35,10 +40,17 @@ from typing import Mapping
 
 import numpy as np
 
-from repro.config import PFDRLConfig
-from repro.core.controller import DeviceNominals, OnlineController, forecast_block
+from repro.config import DataConfig, PFDRLConfig
+from repro.core.controller import (
+    DeviceNominals,
+    OnlineController,
+    check_readings,
+    forecast_block,
+)
 from repro.core.system import config_digest
-from repro.data.generator import generate_neighborhood
+# Imported but not called: perfbench's traced runs wrap this module name.
+from repro.data.generator import generate_neighborhood  # noqa: F401
+from repro.data.residence import make_profiles
 from repro.federated.dfl import DFLClient
 from repro.nn.serialization import set_weights
 from repro.persist.checkpoint import CheckpointError
@@ -52,11 +64,32 @@ __all__ = [
     "ScheduleQuery",
     "ScheduleAnswer",
     "SnapshotError",
+    "device_nominals",
 ]
 
 
 class SnapshotError(RuntimeError):
     """A checkpoint cannot be served (wrong stage, unknown residence…)."""
+
+
+def device_nominals(data: DataConfig) -> dict[int, dict[str, DeviceNominals]]:
+    """Every residence's per-device nominal powers, in dataset device order.
+
+    Equal to the ``on_kw``/``standby_kw`` of
+    ``generate_neighborhood(data)``'s traces, which copy them from the
+    same seeded :func:`~repro.data.residence.make_profiles` profiles, at
+    the cost of drawing the profiles alone.
+    """
+    profiles = make_profiles(
+        data.n_residences, data.device_types, data.heterogeneity, data.seed
+    )
+    return {
+        p.residence_id: {
+            dev: DeviceNominals(p.on_kw(dev), p.standby_kw(dev))
+            for dev in p.device_types
+        }
+        for p in profiles
+    }
 
 
 @dataclass(frozen=True)
@@ -207,10 +240,11 @@ class ModelSnapshot:
         if ckpt_step < 0:
             ckpt_step = store.latest_step() or 0
 
-        # The dataset is regenerated deterministically from the config
-        # (exactly as training does) — it carries the per-residence
-        # device nominals the checkpoint does not store.
-        dataset = generate_neighborhood(config.data)
+        # Per-residence device nominals come from the seeded profiles the
+        # dataset is generated from (a trace copies its on/standby levels
+        # from its profile), in the dataset's device order — no minute
+        # trace is generated.
+        nominals_by_rid = device_nominals(config.data)
         clients_state = state["dfl"]["clients"]
         agents_state = state["drl"]["agents"]
 
@@ -232,19 +266,17 @@ class ModelSnapshot:
         residences: dict[int, _Residence] = {}
         for rid_s, client_state in clients_state.items():
             rid = int(rid_s)
-            traces = dict(dataset[rid])
+            nominals = nominals_by_rid[rid]
+            # The client only hosts the forecasters here; serving never
+            # trains, so it needs no training series.
             client = DFLClient(
                 rid,
-                {dev: trace.power_kw for dev, trace in traces.items()},
+                {dev: np.empty(0) for dev in nominals},
                 config.forecast,
                 minutes_per_day=config.data.minutes_per_day,
                 seed=config.seed,
             )
             client.load_state_dict(client_state)
-            nominals = {
-                dev: DeviceNominals(trace.on_kw, trace.standby_kw)
-                for dev, trace in traces.items()
-            }
             rows = {
                 slot: row
                 for (r, slot), row in rows_by_key.items()
@@ -328,15 +360,25 @@ class ModelSnapshot:
     def schedule(self, queries: list[ScheduleQuery]) -> list[ScheduleAnswer]:
         """Answer a batch of queries through the vectorised greedy path.
 
-        Forecast blocks are computed per (query, device) with the exact
-        controller refresh rule; all per-minute Q evaluations across the
-        whole batch then collapse into one broadcast matmul per aligned
-        trace length.
+        Three steps:
+
+        1. validate every query (known residence, exactly its devices,
+           aligned 1-D readings of at least one minute, finite and
+           non-negative — :func:`~repro.core.controller.check_readings`);
+        2. forecast: gather every ``(query, horizon block)`` of one
+           (residence, device) — the readings before the block, its
+           minute offset and the query's ``t0`` — and make one
+           :func:`~repro.core.controller.forecast_block` call per group,
+           so each forecaster runs one stacked forward per batch, each
+           row exactly as the per-minute controller's batch of one;
+        3. decide: all per-minute Q evaluations across the batch collapse
+           into one broadcast matmul per aligned trace length, then the
+           shared action → draw rule.
         """
-        # (trace length) -> list of (query idx, device idx, row, states)
-        groups: dict[int, list[tuple[int, int, int, np.ndarray]]] = {}
-        prepared: list[list[tuple[str, np.ndarray, np.ndarray, DeviceNominals]]] = []
-        for qi, query in enumerate(queries):
+        # 1. Validate.
+        homes: list[_Residence] = []
+        readings: list[dict[str, np.ndarray]] = []
+        for query in queries:
             res = self._residence(query.residence_id)
             if set(query.readings) != set(res.forecasters):
                 raise ValueError(
@@ -350,61 +392,90 @@ class ModelSnapshot:
             (n_minutes,) = lengths
             if n_minutes < 1:
                 raise ValueError("query readings must cover at least one minute")
-            devs: list[tuple[str, np.ndarray, np.ndarray, DeviceNominals]] = []
-            for device in query.readings:
-                real = np.asarray(query.readings[device], dtype=np.float64)
+            real_by_device = {}
+            for device, trace in query.readings.items():
+                real = np.asarray(trace, dtype=np.float64)
                 if real.ndim != 1:
                     raise ValueError(f"reading for {device!r} must be 1-D")
-                if (real < 0).any():
-                    raise ValueError(f"negative reading for {device!r}")
-                fc = res.forecasters[device]
-                nom = res.nominals[device]
-                predicted = np.empty(n_minutes)
-                for lo in range(0, n_minutes, fc.horizon):
-                    block, _ = forecast_block(
-                        fc, real[:lo], nom, lo, self.minutes_per_day, t0=query.t0
-                    )
-                    predicted[lo : lo + fc.horizon] = block[
-                        : min(fc.horizon, n_minutes - lo)
-                    ]
-                states = build_states(
-                    predicted, real, nom.on_kw, nom.standby_kw, device
-                )
-                row = self.row_for(query.residence_id, device)
-                groups.setdefault(n_minutes, []).append(
-                    (qi, len(devs), row, states)
-                )
-                devs.append((device, real, predicted, nom))
-            prepared.append(devs)
+                real_by_device[device] = real
+            check_readings(real_by_device)
+            homes.append(res)
+            readings.append(real_by_device)
 
-        # One stacked forward + argmax per distinct trace length.
-        actions_by_item: dict[tuple[int, int], np.ndarray] = {}
+        # 2. Forecast: one forecast_block call per (residence, device),
+        # over the rows (query idx, block start) of all its queries.
+        rows_of: dict[tuple[int, str], list[tuple[int, int]]] = {}
+        first_row: dict[tuple[int, str], int] = {}
+        for qi, query in enumerate(queries):
+            for device, real in readings[qi].items():
+                rows = rows_of.setdefault((int(query.residence_id), device), [])
+                first_row[qi, device] = len(rows)
+                horizon = homes[qi].forecasters[device].horizon
+                rows.extend((qi, lo) for lo in range(0, real.shape[0], horizon))
+        blocks_of: dict[tuple[int, str], np.ndarray] = {}
+        for (rid, device), rows in rows_of.items():
+            res = self._residences[rid]
+            blocks_of[rid, device], _ = forecast_block(
+                res.forecasters[device],
+                [readings[qi][device][:lo] for qi, lo in rows],
+                res.nominals[device],
+                [lo for _, lo in rows],
+                self.minutes_per_day,
+                t0=[queries[qi].t0 for qi, _ in rows],
+            )
+
+        # 3. Decide: states, one stacked forward + argmax per distinct
+        # trace length, controlled draw.
+        predicted: list[dict[str, np.ndarray]] = []
+        # (trace length) -> list of (query idx, device, row, states)
+        groups: dict[int, list[tuple[int, str, int, np.ndarray]]] = {}
+        for qi, query in enumerate(queries):
+            predicted.append({})
+            for device, real in readings[qi].items():
+                # A query's blocks are consecutive rows of its group, so
+                # its forecast trace is the first n values from its first row.
+                blocks = blocks_of[int(query.residence_id), device]
+                first = first_row[qi, device]
+                forecast = blocks[first:].reshape(-1)[: real.shape[0]].copy()
+                predicted[qi][device] = forecast
+                nom = homes[qi].nominals[device]
+                states = build_states(forecast, real, nom.on_kw, nom.standby_kw, device)
+                row = self.row_for(query.residence_id, device)
+                groups.setdefault(real.shape[0], []).append((qi, device, row, states))
+
+        actions_by_item: dict[tuple[int, str], np.ndarray] = {}
         for items in groups.values():
             stacked = np.stack([states for (_, _, _, states) in items])
             rows = np.asarray([row for (_, _, row, _) in items])
             q_values = self.stack.forward_batch(stacked, rows=rows)
             acts = q_values.argmax(axis=2).astype(np.int64)
-            for (qi, di, _, _), a in zip(items, acts):
-                actions_by_item[(qi, di)] = a
+            for (qi, device, _, _), a in zip(items, acts):
+                actions_by_item[(qi, device)] = a
 
         answers: list[ScheduleAnswer] = []
         for qi, query in enumerate(queries):
+            res = homes[qi]
             actions: dict[str, np.ndarray] = {}
-            predicted_kw: dict[str, np.ndarray] = {}
             controlled_kw: dict[str, np.ndarray] = {}
-            saved = 0.0
-            for di, (device, real, predicted, nom) in enumerate(prepared[qi]):
-                a = actions_by_item[(qi, di)]
-                controlled = apply_actions(a, real, nom.standby_kw)
+            for device, real in readings[qi].items():
+                a = actions_by_item[(qi, device)]
                 actions[device] = a
-                predicted_kw[device] = predicted
-                controlled_kw[device] = controlled
-                saved += float((real - controlled).sum()) / 60.0
+                controlled_kw[device] = apply_actions(
+                    a, real, res.nominals[device].standby_kw
+                )
+            # The controller's rule: per device a running sum of each
+            # minute's withheld energy, then the devices in its order.
+            withheld = np.stack(
+                [readings[qi][d] - controlled_kw[d] for d in res.forecasters]
+            )
+            saved = 0.0
+            for device_kwh in np.cumsum(withheld / 60.0, axis=1)[:, -1].tolist():
+                saved += device_kwh
             answers.append(
                 ScheduleAnswer(
                     residence_id=int(query.residence_id),
                     actions=actions,
-                    predicted_kw=predicted_kw,
+                    predicted_kw=predicted[qi],
                     controlled_kw=controlled_kw,
                     saved_kwh=saved,
                     generation=self.generation,

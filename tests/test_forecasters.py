@@ -95,6 +95,21 @@ class TestForecasterContract:
         with pytest.raises(ValueError):
             f.set_weights(w)
 
+    def test_predict_rows_is_per_row_predict_bitwise(self, name):
+        """Row i of predict_rows is predict(X[i:i+1])[0], bit for bit —
+        the contract stacked serving rests on."""
+        f = make(name)
+        X, y = toy_data()
+        f.fit(X, y)
+        rng = np.random.default_rng(3)
+        for n in (1, 2, 9, 64):
+            Xn = rng.uniform(0, 1.2, size=(n, WINDOW + EXTRA))
+            rows = f.predict_rows(Xn)
+            assert rows.shape == (n, HORIZON)
+            for i in range(n):
+                assert np.array_equal(rows[i], f.predict(Xn[i : i + 1])[0])
+        assert f.predict_rows(np.zeros((0, WINDOW + EXTRA))).shape == (0, HORIZON)
+
     def test_averaging_weights_is_well_defined(self, name):
         """FedAvg of two trained models yields a usable model."""
         from repro.nn.serialization import average_weights
@@ -108,6 +123,29 @@ class TestForecasterContract:
         g.set_weights(merged)
         pred = g.predict(X)
         assert np.all(np.isfinite(pred))
+
+
+class TestLSTMInference:
+    @pytest.mark.parametrize("n_layers", [1, 2])
+    def test_predictions_keep_no_backward_cache(self, n_layers):
+        """Inference forwards hold no activations: a served forecaster
+        answering many rows must not keep them alive between batches."""
+        f = LSTMForecaster(WINDOW, HORIZON, n_extra=EXTRA, hidden_size=5,
+                           n_layers=n_layers, epochs=1, seed=0)
+        X, y = toy_data()
+        f.fit(X, y)
+        for predict in (f.predict, f.predict_rows):
+            f.fit(X, y)  # leaves the last mini-batch's cache behind
+            predict(X)
+            assert all(layer._cache is None for layer in f.model.layers)
+            assert f.model.head._x is None
+
+    def test_training_forward_still_backpropagates(self):
+        f = LSTMForecaster(WINDOW, HORIZON, n_extra=EXTRA, hidden_size=5, seed=0)
+        X, _ = toy_data(n=4)
+        out = f.model.forward(f._to_sequence(X))
+        f.model.backward(np.ones_like(out))
+        assert any(np.any(p.grad != 0) for p in f.model.parameters())
 
 
 class TestLinearRegressionSpecifics:
