@@ -12,7 +12,7 @@ Subpackages
 - ``repro.baselines``   Local / Cloud / FL / FRL comparison pipelines
 - ``repro.metrics``     accuracy, energy, monetary and timing metrics
 - ``repro.obs``         run telemetry: counters/timers + JSONL run journal
-- ``repro.parallel``    multi-process fan-out over residences
+- ``repro.parallel``    the EMS training process pool (``ems_workers``)
 - ``repro.experiments`` one module per paper figure/table
 """
 

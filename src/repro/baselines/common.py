@@ -122,15 +122,21 @@ def run_method(
         sharing=spec.sharing,
     )
     sw = Stopwatch()
-    with sw.measure("train"):
-        dfl_history = system.run_forecasting()
-        if track_convergence:
-            drl_history, convergence = _run_ems_tracked(system)
-        else:
-            drl_history = system.run_energy_management()
-            convergence = []
-    with sw.measure("test"):
-        accuracy, ems = system.evaluate()
+    try:
+        with sw.measure("train"):
+            dfl_history = system.run_forecasting()
+            if track_convergence:
+                drl_history, convergence = _run_ems_tracked(system)
+            else:
+                drl_history = system.run_energy_management()
+                convergence = []
+        with sw.measure("test"):
+            accuracy, ems = system.evaluate()
+    finally:
+        # The stages run here without PFDRLSystem.run, so shut the EMS
+        # trainer's worker pool down here too.
+        if system.drl is not None:
+            system.drl.close()
 
     assert system.dfl is not None and system.drl is not None
     return MethodResult(
@@ -152,19 +158,10 @@ def run_method(
 
 def _run_ems_tracked(system: PFDRLSystem) -> tuple[list[PFDRLDayResult], list[float]]:
     """EMS training with a held-out evaluation after every simulated day."""
-    from repro.core.pfdrl import PFDRLTrainer
     from repro.core.streams import build_streams
 
     assert system.dfl is not None
-    train_streams = build_streams(system.train_data, system.dfl, t0=0)
-    system.drl = PFDRLTrainer(
-        train_streams,
-        dqn_config=system.config.dqn,
-        federation_config=system.config.federation,
-        sharing=system.sharing,
-        seed=system.config.seed,
-        n_workers=system.config.ems_workers,
-    )
+    system.drl = system._make_drl()
     test_streams = build_streams(
         system.test_data,
         system.dfl,

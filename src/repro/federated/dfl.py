@@ -41,21 +41,9 @@ from repro.forecast.features import augment_time_features
 from repro.metrics.accuracy import horizon_energy_accuracy
 from repro.nn.serialization import average_weights
 from repro.obs.telemetry import Telemetry, ensure_telemetry
-from repro.parallel import ParallelConfig, parallel_map
 from repro.rng import hash_seed
 
 __all__ = ["DFLClient", "DFLTrainer", "DFLRoundResult"]
-
-
-def _fit_forecaster(task: tuple["Forecaster", "np.ndarray", "np.ndarray"]):
-    """Process-pool worker: fit a forecaster on its prepared pairs.
-
-    Pure function of its arguments (the forecaster carries its own RNG
-    state), so serial and parallel execution produce identical results.
-    """
-    forecaster, X, y = task
-    loss = forecaster.fit(X, y)
-    return loss, forecaster
 
 
 class DFLClient:
@@ -109,40 +97,24 @@ class DFLClient:
             X = np.zeros((0, cfg.input_dim))
         return X, y, offsets
 
-    def prepare_segment(
-        self, device: str, start: int, stop: int
-    ) -> tuple[np.ndarray, np.ndarray, int]:
-        """Pure featurisation of the stream segment up to minute *stop*.
-
-        Returns the (X, y) training pairs for all windows whose targets
-        start at or after the device's cursor, plus the cursor value that
-        consuming them would produce.  Does not mutate the client — the
-        split from :meth:`train_segment` lets a process pool fit the
-        forecasters remotely while the driver owns the cursors.
-        """
-        series = self.series[device]
-        stop = min(stop, series.shape[0])
-        base = max(0, self._cursor[device] - self.config.window)
-        chunk = series[base:stop]
-        X, y, offsets = self._features(chunk, t0=base, stride=self.config.stride)
-        if X.shape[0] == 0:
-            return X, y, self._cursor[device]
-        new_cursor = base + int(offsets[-1]) + self.config.stride
-        return X, y, new_cursor
-
     def train_segment(self, device: str, start: int, stop: int) -> float:
         """Fit the device model on the stream up to minute *stop*.
 
         Consumes all windows whose targets start at or after the device's
         cursor (which may lag *start* when earlier segments were too short
         to form a window); the window lookback may reach before the
-        cursor (history is known).  Returns NaN when still not enough
-        data has accumulated.
+        cursor (history is known).  Returns NaN, leaving the cursor where
+        it was, when still not enough data has accumulated.
         """
-        X, y, new_cursor = self.prepare_segment(device, start, stop)
+        series = self.series[device]
+        stop = min(stop, series.shape[0])
+        base = max(0, self._cursor[device] - self.config.window)
+        X, y, offsets = self._features(
+            series[base:stop], t0=base, stride=self.config.stride
+        )
         if X.shape[0] == 0:
             return float("nan")
-        self._cursor[device] = new_cursor
+        self._cursor[device] = base + int(offsets[-1]) + self.config.stride
         return self.forecasters[device].fit(X, y)
 
     def state_dict(self) -> dict:
@@ -216,10 +188,6 @@ class DFLTrainer:
         Model and broadcast settings (β, topology).
     mode:
         ``"decentralized"`` | ``"centralized"`` | ``"local"`` | ``"cloud"``.
-    n_workers:
-        >1 fans the per-(residence, device) local fits out over a process
-        pool between broadcast barriers (the residences are independent
-        there by construction).  Results are bit-identical to serial.
     compressor:
         Optional broadcast compressor (``repro.federated.compression``);
         decentralized-mode payloads pass through a compress/decompress
@@ -242,7 +210,6 @@ class DFLTrainer:
         federation_config: FederationConfig | None = None,
         mode: str = "decentralized",
         seed: int = 0,
-        n_workers: int = 1,
         compressor=None,
         fault_config: FaultConfig | None = None,
         telemetry: Telemetry | None = None,
@@ -285,7 +252,6 @@ class DFLTrainer:
             self.federation_config.beta_hours, dataset.minutes_per_day
         )
         self._minutes_trained = 0
-        self.parallel = ParallelConfig(n_workers=max(1, n_workers))
         self.compressor = compressor
         #: Bytes actually transmitted when a compressor is active.
         self.compressed_bytes = 0
@@ -429,39 +395,12 @@ class DFLTrainer:
     def _train_interval(
         self, lo: int, hi: int, losses: dict[str, list[float]]
     ) -> None:
-        """Local fits for every (residence, device), serial or pooled."""
-        tasks: list[tuple[int, str]] = [
-            (ci, device)
-            for ci, client in enumerate(self.clients)
-            for device in client.device_types
-        ]
-        if self.parallel.effective_workers(len(tasks)) <= 1:
-            for ci, device in tasks:
-                loss = self.clients[ci].train_segment(device, lo, hi)
+        """Local fits for every (residence, device), in client order."""
+        for client in self.clients:
+            for device in client.device_types:
+                loss = client.train_segment(device, lo, hi)
                 if np.isfinite(loss):
                     losses[device].append(loss)
-            return
-
-        payloads = []
-        cursors = []
-        live: list[tuple[int, str]] = []
-        for ci, device in tasks:
-            client = self.clients[ci]
-            X, y, new_cursor = client.prepare_segment(device, lo, hi)
-            if X.shape[0] == 0:
-                continue
-            payloads.append((client.forecasters[device], X, y))
-            cursors.append(new_cursor)
-            live.append((ci, device))
-        if not payloads:
-            return
-        results = parallel_map(_fit_forecaster, payloads, self.parallel)
-        for (ci, device), new_cursor, (loss, forecaster) in zip(live, cursors, results):
-            client = self.clients[ci]
-            client.forecasters[device] = forecaster
-            client._cursor[device] = new_cursor
-            if np.isfinite(loss):
-                losses[device].append(loss)
 
     # ------------------------------------------------------------------
     def _cloud_train_segment(self, device: str, lo: int, hi: int) -> float:

@@ -33,10 +33,8 @@ N·(N−1) (``benchmarks/bench_scale.py`` fits the empirical exponents).
 
 :class:`SegmentedScaleRunner` drives the federation at large N
 (10k+ members) with small synthetic per-member models whose local
-update is a pure function of ``(seed, round, member)`` — clusters step
-in waves, optionally through the PR-6 persistent
-:class:`~repro.parallel.WorkerPool` over a
-:class:`~repro.parallel.SharedArena` row matrix, and progress
+update is a pure function of ``(seed, round, member)`` — one
+elementwise step over the whole member-row matrix — and progress
 checkpoints into a digest-guarded
 :class:`~repro.persist.CheckpointStore` so a 10k-residence run
 completes as resumable segments, bit-identically.
@@ -525,9 +523,7 @@ def _drift_update(
 
     A pure elementwise function of ``(seed, round, member id, column)``
     — elementwise ufuncs are bitwise-stable under any row chunking, so
-    waves, worker shards and serial execution all produce identical
-    bits (the property the segmented runner's resume guarantee and the
-    parallel path both lean on).
+    one call over all rows equals any split of them into row ranges.
     """
     dim = weights.shape[1]
     ids = np.arange(lo, hi, dtype=np.float64)[:, None]
@@ -538,27 +534,6 @@ def _drift_update(
     block += 0.01 * np.sin(phase)
 
 
-class _ScaleShardWorker:
-    """Pool-side handler: drift-steps its row shard in the shared arena."""
-
-    def __init__(self, runner: "SegmentedScaleRunner", lo: int, hi: int) -> None:
-        self.runner = runner
-        self.lo, self.hi = lo, hi
-
-    def __call__(self, cmd: str, payload):
-        if cmd == "step":
-            round_index, waves = payload
-            for wave_lo, wave_hi in waves:
-                lo = max(self.lo, wave_lo)
-                hi = min(self.hi, wave_hi)
-                if lo < hi:
-                    _drift_update(
-                        self.runner.weights, lo, hi, round_index, self.runner.seed
-                    )
-            return None
-        raise ValueError(f"unknown scale-worker command {cmd!r}")
-
-
 class SegmentedScaleRunner:
     """Drive the hierarchy at large N as checkpoint-resumable segments.
 
@@ -567,12 +542,7 @@ class SegmentedScaleRunner:
     :class:`HierarchicalFederation` γ-path (real buses, real
     aggregators, real participation sampling), so the communication
     counters measured here are exactly what a full DQN run would pay —
-    with the payload size as the one free parameter.  Clusters step in
-    waves of ``wave_clusters``; with ``n_workers > 1`` (and fork
-    available) the waves execute on a persistent
-    :class:`~repro.parallel.WorkerPool` whose shards write disjoint row
-    ranges of a :class:`~repro.parallel.SharedArena`-backed weight
-    matrix — bit-identical to the serial fallback.
+    with the payload size as the one free parameter.
 
     ``run`` checkpoints every ``segment_rounds`` rounds into a
     :class:`~repro.persist.CheckpointStore` whose meta carries a config
@@ -588,96 +558,22 @@ class SegmentedScaleRunner:
         seed: int = 0,
         faults: FaultConfig | None = None,
         telemetry: Telemetry | None = None,
-        n_workers: int = 1,
-        wave_clusters: int | None = None,
     ) -> None:
         if dim < 1:
             raise ValueError("dim must be >= 1")
-        if n_workers < 1:
-            raise ValueError("n_workers must be >= 1")
         self.n_members = int(n_members)
         self.dim = int(dim)
         self.seed = int(seed)
-        self.n_workers = int(n_workers)
         self.telemetry = ensure_telemetry(telemetry)
         self.hier = HierarchicalFederation(n_members, config, faults=faults)
-        self.wave_clusters = (
-            int(wave_clusters)
-            if wave_clusters is not None
-            else max(1, self.hier.n_clusters // 4)
-        )
-        self._arena = None
-        self._pool = None
-        if self.n_workers > 1:
-            from repro.parallel import SharedArena, fork_available
-
-            if fork_available():
-                self._arena = SharedArena(
-                    SharedArena.required_bytes([(self.n_members, self.dim)])
-                )
-        self.weights = (
-            self._arena.alloc((self.n_members, self.dim))
-            if self._arena is not None
-            else np.zeros((self.n_members, self.dim))
-        )
         # Deterministic non-uniform start so aggregation has work to do.
         init = np.random.default_rng(hash_seed(self.seed, "scale-init"))
-        self.weights[...] = 0.1 * init.standard_normal((self.n_members, self.dim))
+        self.weights = 0.1 * init.standard_normal((self.n_members, self.dim))
         self.rounds_done = 0
 
     # ------------------------------------------------------------------
-    def _ensure_pool(self):
-        from repro.parallel import WorkerPool, partition_chunks
-
-        if self._pool is None:
-            shards = partition_chunks(
-                list(range(self.n_members)), min(self.n_workers, self.n_members)
-            )
-            bounds = []
-            lo = 0
-            for shard in shards:
-                bounds.append((lo, lo + len(shard)))
-                lo += len(shard)
-            self._pool = WorkerPool(
-                [
-                    (lambda b=b: _ScaleShardWorker(self, b[0], b[1]))
-                    for b in bounds
-                ]
-            )
-        return self._pool
-
-    def close(self) -> None:
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.close()
-
-    def __del__(self) -> None:  # pragma: no cover - GC safety net
-        try:
-            pool = self.__dict__.get("_pool")
-            if pool is not None:
-                pool.close(force=True)
-        except Exception:
-            pass
-
-    # ------------------------------------------------------------------
-    def _member_waves(self) -> list[tuple[int, int]]:
-        """Member-row ranges of each cluster wave (contiguous clusters)."""
-        waves: list[tuple[int, int]] = []
-        for wave_lo in range(0, self.hier.n_clusters, self.wave_clusters):
-            chunk = self.hier.clusters[
-                wave_lo : wave_lo + self.wave_clusters
-            ]
-            waves.append((chunk[0][0], chunk[-1][-1] + 1))
-        return waves
-
     def _local_step(self, round_index: int) -> None:
-        waves = self._member_waves()
-        if self._arena is not None:
-            pool = self._ensure_pool()
-            pool.call_all("step", [(round_index, waves)] * pool.n_workers)
-        else:
-            for lo, hi in waves:
-                _drift_update(self.weights, lo, hi, round_index, self.seed)
+        _drift_update(self.weights, 0, self.n_members, round_index, self.seed)
 
     def _share(self) -> dict:
         weights = self.weights
@@ -696,7 +592,7 @@ class SegmentedScaleRunner:
         return summary
 
     def run_round(self) -> dict:
-        """One round: wave-wise local steps, then the γ share round."""
+        """One round: the local step over all members, then the γ share round."""
         self._local_step(self.rounds_done)
         summary = self._share()
         self.rounds_done += 1
@@ -720,30 +616,27 @@ class SegmentedScaleRunner:
             raise ValueError("segment_rounds must be >= 1")
         from repro.persist import TrainingInterrupted
 
-        try:
-            while self.rounds_done < n_rounds:
-                self.run_round()
-                stop_here = (
-                    stop_after_round is not None
-                    and self.rounds_done >= stop_after_round
+        while self.rounds_done < n_rounds:
+            self.run_round()
+            stop_here = (
+                stop_after_round is not None
+                and self.rounds_done >= stop_after_round
+            )
+            if store is not None and (
+                self.rounds_done % segment_rounds == 0
+                or self.rounds_done == n_rounds
+                or stop_here
+            ):
+                store.save(
+                    self.rounds_done,
+                    self.state_dict(),
+                    meta={
+                        "config_sha256": self.config_digest(),
+                        "rounds_done": self.rounds_done,
+                    },
                 )
-                if store is not None and (
-                    self.rounds_done % segment_rounds == 0
-                    or self.rounds_done == n_rounds
-                    or stop_here
-                ):
-                    store.save(
-                        self.rounds_done,
-                        self.state_dict(),
-                        meta={
-                            "config_sha256": self.config_digest(),
-                            "rounds_done": self.rounds_done,
-                        },
-                    )
-                if stop_here:
-                    raise TrainingInterrupted(self.rounds_done)
-        finally:
-            self.close()
+            if stop_here:
+                raise TrainingInterrupted(self.rounds_done)
         return self.summary()
 
     def summary(self) -> dict:

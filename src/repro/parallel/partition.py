@@ -1,4 +1,4 @@
-"""Work partitioning helpers."""
+"""Work partitioning helper."""
 
 from __future__ import annotations
 
@@ -6,20 +6,7 @@ from typing import Sequence, TypeVar
 
 T = TypeVar("T")
 
-__all__ = ["partition_round_robin", "partition_chunks"]
-
-
-def partition_round_robin(items: Sequence[T], n_parts: int) -> list[list[T]]:
-    """Deal items into *n_parts* lists round-robin (balanced sizes).
-
-    Good when per-item cost is uniform-ish but ordering is arbitrary.
-    """
-    if n_parts < 1:
-        raise ValueError("n_parts must be >= 1")
-    parts: list[list[T]] = [[] for _ in range(n_parts)]
-    for i, item in enumerate(items):
-        parts[i % n_parts].append(item)
-    return parts
+__all__ = ["partition_chunks"]
 
 
 def partition_chunks(items: Sequence[T], n_parts: int) -> list[list[T]]:

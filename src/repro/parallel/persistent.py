@@ -1,11 +1,10 @@
 """Persistent, routed worker pool over forked processes.
 
-``concurrent.futures.ProcessPoolExecutor`` (used by
-:func:`repro.parallel.pool.parallel_map`) cannot route a task to a
-*specific* worker, so it cannot host workers that own long-lived state
-(agents, replay buffers, engine views).  This module provides the
-missing primitive: N long-lived child processes, each built from a
-*factory* callable and addressed by index over a private pipe.
+A stateless executor pool cannot route a task to a *specific* worker,
+so it cannot host workers that own long-lived state (agents, replay
+buffers, engine views).  This module provides that primitive: N
+long-lived child processes, each built from a *factory* callable and
+addressed by index over a private pipe.
 
 Key properties:
 

@@ -1,5 +1,7 @@
 """Tests for the five comparison pipelines (Table 2)."""
 
+import multiprocessing
+
 import numpy as np
 import pytest
 
@@ -8,10 +10,13 @@ from repro.baselines import cloud, fl, frl, local
 from repro.config import (
     DataConfig,
     DQNConfig,
+    FaultConfig,
     FederationConfig,
     ForecastConfig,
     PFDRLConfig,
 )
+from repro.core import PFDRLSystem
+from repro.core.pfdrl import PFDRLTrainer
 from repro.data import generate_neighborhood
 
 
@@ -96,3 +101,60 @@ class TestRunMethods:
         assert frl.SPEC.name == "frl"
         r = local.run(config, dataset)
         assert r.spec.name == "local"
+
+
+class TestRunMethodLifecycle:
+    @pytest.mark.parametrize("track", [False, True])
+    def test_ems_trainer_gets_the_fault_config(
+        self, config, dataset, monkeypatch, track
+    ):
+        """The tracked (Fig. 9) path must train on the faulty bus too."""
+        trainers = []
+        init = PFDRLTrainer.__init__
+
+        def spy(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            trainers.append(self)
+
+        monkeypatch.setattr(PFDRLTrainer, "__init__", spy)
+        faulty = config.replace(faults=FaultConfig(drop_rate=0.5))
+        run_method("pfdrl", faulty, dataset, track_convergence=track)
+        assert len(trainers) == 1
+        assert trainers[0].fault_config == faulty.faults
+
+    @pytest.mark.parametrize("track", [False, True])
+    def test_no_worker_outlives_run_method(self, config, dataset, track):
+        before = set(multiprocessing.active_children())
+        r = run_method(
+            "pfdrl", config.replace(ems_workers=2), dataset,
+            track_convergence=track,
+        )
+        assert np.isfinite(r.saved_standby_fraction)
+        assert set(multiprocessing.active_children()) == before
+
+    @pytest.mark.parametrize("track", [False, True])
+    def test_no_worker_outlives_a_failing_run_method(
+        self, config, dataset, monkeypatch, track
+    ):
+        """A raising stage must not leave the pool to the garbage collector.
+
+        A caller that keeps the exception keeps its traceback, and so
+        ``run_method``'s frame and trainer, alive; only an explicit close
+        stops the workers then.
+        """
+        before = set(multiprocessing.active_children())
+        during = []
+
+        def boom(self):
+            during.extend(multiprocessing.active_children())
+            raise RuntimeError("evaluate-exploded")
+
+        monkeypatch.setattr(PFDRLSystem, "evaluate", boom)
+        with pytest.raises(RuntimeError, match="evaluate-exploded") as caught:
+            run_method(
+                "pfdrl", config.replace(ems_workers=2), dataset,
+                track_convergence=track,
+            )
+        assert len(set(during) - before) == 2  # the pool was up
+        assert caught.tb is not None  # the traceback is still held here
+        assert set(multiprocessing.active_children()) == before

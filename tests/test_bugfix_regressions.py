@@ -9,8 +9,6 @@ Each class pins one fix and fails on the pre-fix code:
 - :class:`TestDQNTargetInit` — ``DQNAgent.__init__`` built the target net
   with a second ``make_qnet`` call, burning init draws only to overwrite
   them via the deploy-time sync;
-- :class:`TestStarmapChunksize` — ``parallel_starmap`` submitted one
-  future per item, silently ignoring ``ParallelConfig.chunksize``;
 - :class:`TestClassifyModesPhantomStandby` — for two-mode devices
   (``standby_kw == 0``) the out-of-band fallback still offered a standby
   pseudo-level, so stray readings classified as standby for devices that
@@ -28,16 +26,10 @@ from repro.core.pfdrl import PFDRLTrainer
 from repro.core.streams import build_streams
 from repro.data import generate_neighborhood
 from repro.nn.serialization import get_weights, set_weights, weights_allclose
-from repro.parallel import ParallelConfig, parallel_starmap
 from repro.rl.dqn import DQNAgent
 from repro.rl.qnet import make_qnet
 from repro.rl.replay import ReplayBuffer
 from repro.rng import as_generator, spawn
-
-
-def add(a, b):
-    # Module level so the real-pool test can pickle it into workers.
-    return a + b
 
 
 class TestReplaySampling:
@@ -154,48 +146,6 @@ class TestDQNTargetInit:
         set_weights(agent.qnet, [w + 1.0 for w in get_weights(agent.qnet)])
         # Mutating the online net must not leak into the target copy.
         assert weights_allclose(get_weights(agent.target), target_before)
-
-
-class TestStarmapChunksize:
-    """``parallel_starmap`` must batch via ``pool.map(chunksize=...)``."""
-
-    def test_chunksize_reaches_the_pool(self, monkeypatch):
-        import repro.parallel.pool as pool_mod
-
-        seen = {}
-
-        class SpyPool:
-            def __init__(self, max_workers=None):
-                seen["max_workers"] = max_workers
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items, chunksize=1):
-                seen["chunksize"] = chunksize
-                return [fn(x) for x in items]
-
-            def submit(self, fn, *args):  # pragma: no cover - pre-fix path
-                raise AssertionError("starmap must not submit per-item futures")
-
-        monkeypatch.setattr(pool_mod, "ProcessPoolExecutor", SpyPool)
-        cfg = ParallelConfig(n_workers=2, min_tasks_per_worker=1, chunksize=3)
-        args = [(i, 2 * i) for i in range(8)]
-        assert parallel_starmap(add, args, cfg) == [3 * i for i in range(8)]
-        assert seen["chunksize"] == 3
-        assert seen["max_workers"] == 2
-
-    def test_real_pool_agreement_under_chunking(self):
-        args = [(i, i * i) for i in range(9)]
-        cfg = ParallelConfig(n_workers=2, min_tasks_per_worker=1, chunksize=3)
-        assert parallel_starmap(add, args, cfg) == [a + b for a, b in args]
-
-    def test_serial_path_unaffected(self):
-        args = [(i, 1) for i in range(3)]
-        assert parallel_starmap(add, args) == [i + 1 for i in range(3)]
 
 
 class TestClassifyModesPhantomStandby:

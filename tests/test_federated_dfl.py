@@ -65,6 +65,51 @@ class TestDFLClient:
         assert np.isnan(client.train_segment("tv", 0, 3))
 
 
+class TestCursorLag:
+    """Segments too short for a window hold their data for the next one."""
+
+    @pytest.fixture
+    def client(self, dataset):
+        res = dataset[0]
+        client = DFLClient(
+            0,
+            {d: normalize_power(t.power_kw, t.on_kw) for d, t in res},
+            ForecastConfig(model="lr", window=10, horizon=10, train_stride=10),
+            minutes_per_day=240,
+        )
+        fitted = client.fitted_targets = []
+        fit = client.forecasters["tv"].fit
+
+        def spy(X, y):
+            fitted.append(y.copy())
+            return fit(X, y)
+
+        client.forecasters["tv"].fit = spy
+        return client
+
+    def test_short_segment_returns_nan_and_keeps_cursor(self, client):
+        # window = horizon = stride = 10: [0, 30) trains the targets at
+        # minutes 10 and 20, leaving the cursor at 30.
+        assert np.isfinite(client.train_segment("tv", 0, 30))
+        assert client._cursor["tv"] == 30
+        assert np.isnan(client.train_segment("tv", 30, 35))
+        assert client._cursor["tv"] == 30
+        assert len(client.fitted_targets) == 1
+
+    def test_next_segment_trains_held_back_windows(self, client):
+        series = client.series["tv"]
+        client.train_segment("tv", 0, 30)
+        client.train_segment("tv", 30, 35)
+        assert np.isfinite(client.train_segment("tv", 35, 60))
+        # The target at minute 30 starts in the short segment; it is
+        # trained now, together with those at 40 and 50.
+        np.testing.assert_array_equal(
+            client.fitted_targets[-1],
+            np.stack([series[30:40], series[40:50], series[50:60]]),
+        )
+        assert client._cursor["tv"] == 60
+
+
 class TestDFLTrainerModes:
     def test_decentralized_converges_models(self, dataset, fc_config):
         """Right after a broadcast round every client holds the same weights."""

@@ -295,17 +295,18 @@ class TestUpperTierFaults:
 
 
 class TestSegmentedScaleRunner:
-    def test_parallel_waves_bit_identical_to_serial(self):
+    def test_local_step_equals_any_row_chunking(self):
+        """One local step over all rows equals the step over row ranges."""
+        from repro.federated.hierarchy import _drift_update
+
         cfg = HierarchyConfig(cluster_size=8, participation=0.5, seed=4)
-        serial = SegmentedScaleRunner(64, cfg, dim=4, seed=4, n_workers=1)
-        pooled = SegmentedScaleRunner(64, cfg, dim=4, seed=4, n_workers=3)
-        try:
-            for _ in range(4):
-                serial.run_round()
-                pooled.run_round()
-            np.testing.assert_array_equal(serial.weights, pooled.weights)
-        finally:
-            pooled.close()
+        runner = SegmentedScaleRunner(64, cfg, dim=4, seed=4)
+        chunked = runner.weights.copy()
+        for round_index in range(4):
+            runner._local_step(round_index)
+            for lo, hi in [(0, 16), (16, 17), (17, 40), (40, 64)]:
+                _drift_update(chunked, lo, hi, round_index, runner.seed)
+            np.testing.assert_array_equal(runner.weights, chunked)
 
     def test_digest_guard_refuses_other_geometry(self, tmp_path):
         store = CheckpointStore(tmp_path / "segments")

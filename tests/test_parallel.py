@@ -1,110 +1,11 @@
-"""Tests for the parallel runtime."""
-
-import os
+"""Tests for the EMS pool's work partitioning."""
 
 import pytest
 
-from repro.parallel import (
-    ParallelConfig,
-    parallel_map,
-    parallel_starmap,
-    partition_chunks,
-    partition_round_robin,
-)
-
-
-def square(x):
-    return x * x
-
-
-def add(a, b):
-    return a + b
-
-
-class TestParallelConfig:
-    def test_serial_for_small_inputs(self):
-        cfg = ParallelConfig(n_workers=8, min_tasks_per_worker=4)
-        assert cfg.effective_workers(3) == 1
-
-    def test_workers_capped_by_tasks(self):
-        cfg = ParallelConfig(n_workers=8, min_tasks_per_worker=2)
-        assert cfg.effective_workers(6) == 3
-
-    def test_auto_positive(self):
-        cfg = ParallelConfig.auto()
-        assert 1 <= cfg.n_workers <= max(1, (os.cpu_count() or 2))
-
-    def test_auto_cap(self):
-        assert ParallelConfig.auto(max_workers=1).n_workers == 1
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ParallelConfig(n_workers=-1)
-        with pytest.raises(ValueError):
-            ParallelConfig(min_tasks_per_worker=0)
-
-    @pytest.mark.parametrize(
-        "n_workers,min_tasks,force_field,n_tasks,force_arg,expected",
-        [
-            # Serial corners: no pool configured, or nothing to split.
-            (1, 4, False, 100, None, 1),
-            (8, 4, False, 1, None, 1),
-            (8, 4, True, 1, None, 1),
-            (8, 4, False, 0, None, 1),
-            # Economy guard: below 2*min_tasks_per_worker stays serial.
-            (8, 4, False, 7, None, 1),
-            (8, 4, False, 8, None, 2),
-            (8, 4, False, 31, None, 7),
-            (8, 4, False, 32, None, 8),
-            # Workers never exceed n_workers or n_tasks.
-            (8, 2, False, 100, None, 8),
-            (8, 1, False, 3, None, 3),
-            # force field bypasses the guard, still capped by tasks.
-            (8, 4, True, 2, None, 2),
-            (8, 4, True, 3, None, 3),
-            (8, 4, True, 100, None, 8),
-            # Per-call force overrides the field in both directions.
-            (8, 4, False, 2, True, 2),
-            (8, 4, True, 7, False, 1),
-            (8, 4, True, 8, False, 2),
-        ],
-    )
-    def test_effective_workers_policy(
-        self, n_workers, min_tasks, force_field, n_tasks, force_arg, expected
-    ):
-        cfg = ParallelConfig(
-            n_workers=n_workers, min_tasks_per_worker=min_tasks, force=force_field
-        )
-        assert cfg.effective_workers(n_tasks, force=force_arg) == expected
-
-
-class TestParallelMap:
-    def test_serial_matches_builtin_map(self):
-        items = list(range(10))
-        assert parallel_map(square, items) == [x * x for x in items]
-
-    def test_parallel_preserves_order(self):
-        items = list(range(24))
-        cfg = ParallelConfig(n_workers=2, min_tasks_per_worker=2)
-        assert parallel_map(square, items, cfg) == [x * x for x in items]
-
-    def test_empty_input(self):
-        assert parallel_map(square, []) == []
-
-    def test_starmap_serial_and_parallel(self):
-        args = [(i, i + 1) for i in range(12)]
-        expected = [a + b for a, b in args]
-        assert parallel_starmap(add, args) == expected
-        cfg = ParallelConfig(n_workers=2, min_tasks_per_worker=2)
-        assert parallel_starmap(add, args, cfg) == expected
+from repro.parallel import partition_chunks
 
 
 class TestPartition:
-    def test_round_robin_balanced(self):
-        parts = partition_round_robin(list(range(10)), 3)
-        assert [len(p) for p in parts] == [4, 3, 3]
-        assert sorted(x for p in parts for x in p) == list(range(10))
-
     def test_chunks_contiguous(self):
         parts = partition_chunks(list(range(10)), 3)
         assert parts == [[0, 1, 2, 3], [4, 5, 6], [7, 8, 9]]
@@ -114,10 +15,8 @@ class TestPartition:
         assert parts == [[1], [2], [], []]
 
     def test_single_part(self):
-        assert partition_round_robin([1, 2, 3], 1) == [[1, 2, 3]]
+        assert partition_chunks([1, 2, 3], 1) == [[1, 2, 3]]
 
     def test_validation(self):
         with pytest.raises(ValueError):
             partition_chunks([1], 0)
-        with pytest.raises(ValueError):
-            partition_round_robin([1], 0)
