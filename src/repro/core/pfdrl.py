@@ -42,7 +42,7 @@ from repro.parallel import (
     fork_available,
     partition_chunks,
 )
-from repro.rl.batch import BatchedEpisodeEngine, greedy_rollout
+from repro.rl.batch import BatchedEpisodeEngine, StackedQNet, greedy_rollout
 from repro.rl.dqn import DQNAgent
 from repro.rl.env import DeviceEnv
 from repro.rl.reward import reward_vector
@@ -458,14 +458,11 @@ class PFDRLTrainer:
         if self._engine is None:
             allocator = None
             if shared:
-                shapes: list[tuple[int, ...]] = []
-                for group in self._share_groups:
-                    qnet = self._agents[group[0]].qnet
-                    n = len(group)
-                    for lin in qnet._linears:
-                        for _ in range(2):  # online + target stacks
-                            shapes.append((n,) + lin.W.data.shape)
-                            shapes.append((n,) + lin.b.data.shape)
+                shapes = [
+                    StackedQNet.required_shape(self._agents[group[0]].qnet, len(group))
+                    for group in self._share_groups
+                    for _ in range(2)  # online + target stacks
+                ]
                 self._arena = SharedArena(SharedArena.required_bytes(shapes))
                 allocator = self._arena.alloc
             self._engine = BatchedEpisodeEngine(

@@ -78,6 +78,8 @@ class LSTMForecaster(Forecaster):
                 last, grad = self.loss_fn(pred, y[idx])
                 self.model.backward(grad)
                 self.optimizer.step()
+        # The last batch's activations are dead once training ends.
+        self.model.clear_cache()
         return last
 
     def predict(self, X: np.ndarray) -> np.ndarray:

@@ -6,7 +6,24 @@ import numpy as np
 
 from repro.nn.module import Module, Parameter
 
-__all__ = ["ReLU", "Tanh", "Sigmoid", "Identity"]
+__all__ = ["ReLU", "Tanh", "Sigmoid", "Identity", "sigmoid"]
+
+
+def sigmoid(x: np.ndarray) -> np.ndarray:
+    """Numerically stable logistic function in one pass, no masked gathers.
+
+    ``exp(-|x|)`` never overflows; it is ``exp(-x)`` for ``x >= 0`` and
+    ``exp(x)`` below, so each branch computes exactly the classic
+    piecewise form (``1 / (1 + exp(-x))`` for ``x >= 0``,
+    ``exp(x) / (1 + exp(x))`` below) and the result is bitwise equal to
+    it on every input, ±0 and infinities included (NaN stays NaN).
+    """
+    x = np.asarray(x, dtype=np.float64)
+    e = np.abs(x)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)
 
 
 class _Stateless(Module):
@@ -20,10 +37,11 @@ class ReLU(_Stateless):
     def __init__(self) -> None:
         self._mask: np.ndarray | None = None
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray, cache: bool = True) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
-        self._mask = x > 0
-        return np.where(self._mask, x, 0.0)
+        mask = x > 0
+        self._mask = mask if cache else None
+        return np.where(mask, x, 0.0)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._mask is None:
@@ -37,9 +55,10 @@ class Tanh(_Stateless):
     def __init__(self) -> None:
         self._y: np.ndarray | None = None
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._y = np.tanh(np.asarray(x, dtype=np.float64))
-        return self._y
+    def forward(self, x: np.ndarray, cache: bool = True) -> np.ndarray:
+        y = np.tanh(np.asarray(x, dtype=np.float64))
+        self._y = y if cache else None
+        return y
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._y is None:
@@ -53,16 +72,10 @@ class Sigmoid(_Stateless):
     def __init__(self) -> None:
         self._y: np.ndarray | None = None
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        # Numerically stable piecewise form.
-        out = np.empty_like(x)
-        pos = x >= 0
-        out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-        ex = np.exp(x[~pos])
-        out[~pos] = ex / (1.0 + ex)
-        self._y = out
-        return out
+    def forward(self, x: np.ndarray, cache: bool = True) -> np.ndarray:
+        y = sigmoid(x)
+        self._y = y if cache else None
+        return y
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._y is None:
@@ -73,7 +86,7 @@ class Sigmoid(_Stateless):
 class Identity(_Stateless):
     """Pass-through (used as the output 'activation' of regressors)."""
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray, cache: bool = True) -> np.ndarray:
         return np.asarray(x, dtype=np.float64)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.nn.activations import sigmoid
 from repro.nn.init import orthogonal, xavier_uniform
 from repro.nn.linear import Linear
 from repro.nn.module import Module, Parameter
@@ -31,14 +32,8 @@ from repro.rng import as_generator, spawn
 
 __all__ = ["LSTM", "LSTMRegressor"]
 
-
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+#: Gate-major indices of the sigmoid gates in the ``[i | f | g | o]`` layout.
+_IFO = np.array([0, 1, 3])
 
 
 class LSTM(Module):
@@ -99,13 +94,17 @@ class LSTM(Module):
         h = np.zeros((*lead, H))
         c = np.zeros((*lead, H))
         hs = np.zeros((*lead, T, H))
+        # z (..., 4H) viewed gate-major as (4, ..., H).
+        gate_shape = (*lead, 4, H)
+        gate_major = (len(lead), *range(len(lead)), len(lead) + 1)
         cache_steps = []
         for t in range(T):
             z = x[..., t, :] @ self.Wx.data + h @ self.Wh.data + self.b.data
-            i = _sigmoid(z[..., :H])
-            f = _sigmoid(z[..., H : 2 * H])
+            # One sigmoid call per step: the i, f, o gate columns are
+            # gathered into one contiguous (3, ..., H) block, so every
+            # later gate op runs on contiguous memory.
+            i, f, o = sigmoid(z.reshape(gate_shape).transpose(gate_major)[_IFO])
             g = np.tanh(z[..., 2 * H : 3 * H])
-            o = _sigmoid(z[..., 3 * H :])
             c_prev = c
             c = f * c_prev + i * g
             tc = np.tanh(c)
@@ -227,3 +226,9 @@ class LSTMRegressor(Module):
         for layer in reversed(self.layers):
             grad = layer.backward(grad)
         return grad
+
+    def clear_cache(self) -> None:
+        """Drop every layer's backward state (the last training batch)."""
+        for layer in self.layers:
+            layer._cache = None
+        self.head._x = None

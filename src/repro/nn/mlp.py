@@ -79,8 +79,9 @@ class MLP(Module):
     def parameters(self) -> list[Parameter]:
         return self.net.parameters()
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        return self.net.forward(x)
+    def forward(self, x: np.ndarray, cache: bool = True) -> np.ndarray:
+        """``cache=False`` for inference: no layer keeps inputs or masks."""
+        return self.net.forward(x, cache=cache)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         return self.net.backward(grad_out)

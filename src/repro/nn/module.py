@@ -119,9 +119,11 @@ class Sequential(Module):
             out.extend(layer.parameters())
         return out
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray, cache: bool = True) -> np.ndarray:
+        """Apply the layers in order; ``cache=False`` (inference) keeps
+        no backward state in any layer."""
         for layer in self._layers:
-            x = layer.forward(x)
+            x = layer.forward(x, cache=cache)
         return x
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:

@@ -129,12 +129,7 @@ class Adam(Optimizer):
         b1c = 1.0 - self.beta1**self._t
         b2c = 1.0 - self.beta2**self._t
         for p, m, v in zip(self.params, self._m, self._v):
-            g = p.grad * scale
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p.data -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
+            adam_update(self, p.data, p.grad * scale, m, v, b1c, b2c)
 
     def state_dict(self) -> dict:
         return {
@@ -151,22 +146,25 @@ class Adam(Optimizer):
 
 
 class StackedAdam:
-    """Moment arena + row-batched step over N member :class:`Adam`\\ s.
+    """Flat moment arena + one fused step over N member :class:`Adam`\\ s.
 
-    Companion to :class:`repro.rl.batch.StackedQNet`: the members'
-    ``_m`` / ``_v`` slot arrays are rebound (value-preserving) to views
-    of stacked ``(N, *shape)`` tensors, so a member's own
-    ``load_state_dict`` (which copies in place) keeps the stack current,
-    and one vectorised :meth:`step` updates any subset of members at
-    once.
+    Companion to :class:`repro.rl.batch.StackedQNet`, in the same flat
+    layout: row ``i`` of the ``(N, P)`` first/second-moment buffers holds
+    member ``i``'s slots end to end in parameter order, and each
+    member's ``_m`` / ``_v`` slot arrays are rebound (value-preserving)
+    to views of its row, so a member's own ``load_state_dict`` (which
+    copies in place) keeps the arena current.  One :meth:`step` then
+    updates any subset of members with one elementwise pass over
+    ``(rows, P)``.
 
     Bitwise contract: for each selected row, :meth:`step` performs the
     exact operation sequence of the member's serial ``Adam.step`` —
-    per-row global-norm clip accumulated in parameter order, bias
-    corrections computed with Python-float ``beta ** t`` (binary
-    pow differs from ``np.power`` in the last ulp for some inputs),
-    and the same elementwise update expression — so a stacked step is
-    bit-identical to N serial steps.
+    per-row global-norm clip accumulated per tensor in parameter order,
+    bias corrections computed with Python-float ``beta ** t`` (binary
+    pow differs from ``np.power`` in the last ulp for some inputs), and
+    the shared :func:`adam_update` — so a stacked step is bit-identical
+    to N serial steps (every update op is elementwise, so the flat
+    layout cannot change a value).
     """
 
     def __init__(self, optimizers: list[Adam]) -> None:
@@ -189,15 +187,15 @@ class StackedAdam:
         self.lr = ref.lr
         self.beta1, self.beta2, self.eps = ref.beta1, ref.beta2, ref.eps
         self.clip_norm = ref.clip_norm
-        #: (N, *param_shape) first/second-moment stacks, one per parameter.
-        self._m: list[np.ndarray] = []
-        self._v: list[np.ndarray] = []
-        for k in range(len(ref._m)):
-            self._m.append(np.stack([opt._m[k] for opt in optimizers]))
-            self._v.append(np.stack([opt._v[k] for opt in optimizers]))
-            for i, opt in enumerate(optimizers):
-                opt._m[k] = self._m[k][i]
-                opt._v[k] = self._v[k][i]
+        #: ``(lo, hi)`` column span of each parameter slot in a flat row.
+        self.spans = flat_spans([m.shape for m in ref._m])
+        width = self.spans[-1][1]
+        #: (N, P) first/second-moment arenas.
+        self._m = np.empty((len(optimizers), width))
+        self._v = np.empty((len(optimizers), width))
+        for i, opt in enumerate(optimizers):
+            opt._m = _adopt_row(self._m[i], self.spans, opt._m)
+            opt._v = _adopt_row(self._v[i], self.spans, opt._v)
         self._t = np.array([opt._t for opt in optimizers], dtype=np.int64)
 
     @property
@@ -219,8 +217,9 @@ class StackedAdam:
         sub.lr = parent.lr
         sub.beta1, sub.beta2, sub.eps = parent.beta1, parent.beta2, parent.eps
         sub.clip_norm = parent.clip_norm
-        sub._m = [m[lo:hi] for m in parent._m]
-        sub._v = [v[lo:hi] for v in parent._v]
+        sub.spans = parent.spans
+        sub._m = parent._m[lo:hi]
+        sub._v = parent._v[lo:hi]
         sub._t = parent._t[lo:hi]
         return sub
 
@@ -235,24 +234,22 @@ class StackedAdam:
             opt._t = int(self._t[i])
 
     def step(
-        self,
-        params: list[np.ndarray],
-        grads: list[np.ndarray],
-        rows: np.ndarray | None = None,
+        self, params: np.ndarray, grads: np.ndarray, rows: np.ndarray | None = None
     ) -> None:
-        """One Adam step for the selected member rows.
+        """One fused Adam step for the selected member rows.
 
-        ``params[k]`` is the full ``(N, *shape)`` stacked parameter for
-        slot ``k`` (same order as the members' parameter lists);
-        ``grads[k]`` carries the selected rows only, shape
-        ``(K, *shape)`` where ``K = len(rows)`` (or ``N`` for
-        ``rows=None``, the all-rows fast path that avoids gather/scatter
-        copies).
+        ``params`` is the full ``(N, P)`` flat parameter arena (same
+        slot layout as the moments); ``grads`` carries the selected rows
+        only, shape ``(K, P)`` where ``K = len(rows)`` (or ``N`` for
+        ``rows=None``, the all-rows path that updates in place with no
+        gather/scatter copies).
         """
-        if len(params) != len(self._m) or len(grads) != len(self._m):
+        if params.shape != (self.n, self._m.shape[1]) or grads.shape[1:] != (
+            self._m.shape[1],
+        ):
             raise ValueError(
-                f"expected {len(self._m)} param/grad arrays, got "
-                f"{len(params)}/{len(grads)}"
+                f"expected ({self.n}, {self._m.shape[1]}) params and (K, "
+                f"{self._m.shape[1]}) grads, got {params.shape}/{grads.shape}"
             )
         full = rows is None
         if full:
@@ -261,46 +258,77 @@ class StackedAdam:
         else:
             self._t[rows] += 1
             ts = self._t[rows]
-        k = len(ts)
-        # Per-row global-norm clip, accumulated in parameter order (the
-        # accumulation order changes the float sum, so it must mirror
-        # the serial loop exactly).
-        if self.clip_norm is None:
-            scale = None
-        else:
-            total = np.zeros(k)
-            for g in grads:
-                total += (g.reshape(k, -1) ** 2).sum(axis=1)
+        if self.clip_norm is not None:
+            # Per-row global-norm clip, summed per tensor in parameter
+            # order (the accumulation order changes the float sum, so it
+            # must mirror the serial loop exactly).
+            sq = grads**2
+            total = np.zeros(len(ts))
+            for lo, hi in self.spans:
+                total += sq[:, lo:hi].sum(axis=1)
             norm = np.sqrt(total)
             scale = np.where(
-                (norm <= self.clip_norm) | (norm == 0.0),
-                1.0,
-                self.clip_norm / norm,
+                (norm <= self.clip_norm) | (norm == 0.0), 1.0, self.clip_norm / norm
             )
-        # Bias corrections via Python-float pow, one per distinct row t.
-        b1c = np.array([1.0 - self.beta1 ** int(t) for t in ts])
-        b2c = np.array([1.0 - self.beta2 ** int(t) for t in ts])
-        for p, g, m, v in zip(params, grads, self._m, self._v):
-            shape = (k,) + (1,) * (g.ndim - 1)
-            if scale is not None:
-                g = g * scale.reshape(shape)
-            if full:
-                ps, ms, vs = p, m, v
-            else:
-                ps, ms, vs = p[rows], m[rows], v[rows]
-            ms *= self.beta1
-            ms += (1.0 - self.beta1) * g
-            vs *= self.beta2
-            vs += (1.0 - self.beta2) * g * g
-            ps -= (
-                self.lr
-                * (ms / b1c.reshape(shape))
-                / (np.sqrt(vs / b2c.reshape(shape)) + self.eps)
-            )
-            if not full:
-                p[rows] = ps
-                m[rows] = ms
-                v[rows] = vs
+            grads = grads * scale[:, None]
+        # Bias corrections via Python-float pow, one per row.
+        b1c = np.array([[1.0 - self.beta1 ** int(t)] for t in ts])
+        b2c = np.array([[1.0 - self.beta2 ** int(t)] for t in ts])
+        if full:
+            adam_update(self, params, grads, self._m, self._v, b1c, b2c)
+        else:
+            ps, ms, vs = params[rows], self._m[rows], self._v[rows]
+            adam_update(self, ps, grads, ms, vs, b1c, b2c)
+            params[rows] = ps
+            self._m[rows] = ms
+            self._v[rows] = vs
+
+
+def adam_update(opt, p, g, m, v, b1c, b2c) -> None:
+    """The Adam moment and parameter update, in place.
+
+    The one copy of the arithmetic: :meth:`Adam.step` calls it per
+    tensor with Python-float bias corrections, :meth:`StackedAdam.step`
+    once over a flat ``(rows, P)`` arena with per-row ``(K, 1)`` ones.
+    Every op is elementwise, so both give the same bits per element.
+    """
+    # m = b1*m + (1-b1)*g;  v = b2*v + ((1-b2)*g)*g;
+    # p -= lr*(m/b1c) / (sqrt(v/b2c) + eps) — in place, two temporaries.
+    m *= opt.beta1
+    tmp = (1.0 - opt.beta1) * g
+    m += tmp
+    v *= opt.beta2
+    np.multiply(1.0 - opt.beta2, g, out=tmp)
+    tmp *= g
+    v += tmp
+    np.divide(m, b1c, out=tmp)
+    tmp *= opt.lr
+    den = v / b2c
+    np.sqrt(den, out=den)
+    den += opt.eps
+    tmp /= den
+    p -= tmp
+
+
+def flat_spans(shapes) -> list[tuple[int, int]]:
+    """``(lo, hi)`` column span of each shape laid end to end in a flat row."""
+    spans = []
+    lo = 0
+    for shape in shapes:
+        hi = lo + int(np.prod(shape, dtype=np.int64))
+        spans.append((lo, hi))
+        lo = hi
+    return spans
+
+
+def _adopt_row(row: np.ndarray, spans, arrays) -> list[np.ndarray]:
+    """Copy *arrays* into flat *row* and return their views of it."""
+    views = []
+    for (lo, hi), arr in zip(spans, arrays):
+        view = row[lo:hi].reshape(arr.shape)
+        view[...] = arr
+        views.append(view)
+    return views
 
 
 def _clip_scale(params: list[Parameter], clip_norm: float | None) -> float:

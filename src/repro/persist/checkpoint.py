@@ -9,7 +9,13 @@ One checkpoint is one *directory* holding exactly two files:
     an ``arrays`` index: per-array ``shape``/``dtype``/``sha256``.
 
 ``arrays.npz``
-    Every ndarray leaf, compressed, keyed by its state-tree path.
+    Every ndarray leaf, stored uncompressed (``np.savez``), keyed by its
+    state-tree path.  Trained weights, Adam moments and replay rings are
+    float noise that deflate only ~30% (4.7 → 3.3 MB for the CLI run's
+    checkpoint) at ~6x the write time, so checkpoints trade that disk
+    for cheap saves and loads.  Checkpoints written deflated
+    (``np.savez_compressed``) by earlier versions load unchanged: the
+    format version, manifest and checksums do not depend on it.
 
 Atomicity: both files are written into a ``.tmp-…`` sibling directory
 which is then renamed over the target with :func:`os.replace` semantics
@@ -31,6 +37,8 @@ import json
 import os
 import shutil
 import uuid
+import zipfile
+import zlib
 from typing import Any, Mapping
 
 import numpy as np
@@ -110,7 +118,7 @@ def save_checkpoint(
             # as NaN, not null, for bit-identical resume.
             json.dump(manifest, fh, sort_keys=True, indent=2)
             fh.write("\n")
-        np.savez_compressed(os.path.join(tmp, ARRAYS_NAME), **arrays)
+        np.savez(os.path.join(tmp, ARRAYS_NAME), **arrays)
         if os.path.isdir(path):
             # Directory renames cannot atomically replace a non-empty
             # target; move the old checkpoint aside first so a reader
@@ -158,15 +166,22 @@ def load_checkpoint(path: str, verify: bool = True) -> tuple[dict[str, Any], dic
     if expected:
         if not os.path.isfile(arrays_path):
             raise CheckpointError(f"checkpoint is missing {ARRAYS_NAME} at {path}")
-        with np.load(arrays_path) as npz:
-            members = set(npz.files)
-            missing = sorted(set(expected) - members)
-            if missing:
-                raise CheckpointError(
-                    f"checkpoint arrays missing members: {missing[:5]}"
-                )
-            for key in expected:
-                arrays[key] = npz[key]
+        try:
+            with np.load(arrays_path) as npz:
+                members = set(npz.files)
+                missing = sorted(set(expected) - members)
+                if missing:
+                    raise CheckpointError(
+                        f"checkpoint arrays missing members: {missing[:5]}"
+                    )
+                for key in expected:
+                    arrays[key] = npz[key]
+        except (zipfile.BadZipFile, zlib.error, ValueError, EOFError) as exc:
+            # A damaged member fails the zip CRC (or its npy header)
+            # before the checksum pass gets to see it.
+            raise CheckpointError(
+                f"unreadable {ARRAYS_NAME} in {path} (checkpoint is corrupt): {exc}"
+            ) from exc
     if verify:
         for key, info in expected.items():
             digest = _sha256(arrays[key])

@@ -8,13 +8,14 @@ while keeping the per-agent semantics intact; it is the trainer's only
 training engine (the serial ``run_episode`` loop survives as a test
 oracle):
 
-- :class:`StackedQNet` — a zero-copy *parameter arena* over N
-  same-architecture Q-networks.  All weight mutations in this codebase
+- :class:`StackedQNet` — a zero-copy flat *parameter arena* over N
+  same-architecture Q-networks: one ``(N, P)`` buffer, a row per
+  network in parameter order.  All weight mutations in this codebase
   are in-place (``Adam.step`` subtracts into ``Parameter.data``,
   ``set_weights`` assigns with ``[...]``), so each agent's parameters
-  are rebound once to views of stacked ``(N, in, out)`` tensors: the
-  stacked weights are always current and one broadcast ``matmul`` per
-  minute evaluates every agent at once.  With an ``allocator`` the
+  are rebound once to views of its row (per-layer ``(N, in, out)``
+  stacks are views too): the arena is always current and one
+  broadcast ``matmul`` per layer evaluates every agent at once.  With an ``allocator`` the
   stacks live in a :class:`repro.parallel.shm.SharedArena`, so forked
   workers and the parent share the same physical weight pages;
   :meth:`StackedQNet.view` slices a contiguous row range for a worker's
@@ -22,14 +23,17 @@ oracle):
 - :class:`StackedLearner` — the batched learn step.  Replay rings, Adam
   moments, and counters are stacked the same way, so one wave of
   transitions becomes one stacked push + one stacked
-  forward/backward + one :class:`repro.nn.optim.StackedAdam` step for
-  every triggered agent.
+  forward/backward into a flat ``(K, P)`` gradient + one fused
+  :class:`repro.nn.optim.StackedAdam` step for every triggered agent.
 - :class:`BatchedEpisodeEngine` — wave-major episode stepping over many
   (agent, env) pairs: occurrence *wave* k holds the k-th pair of each
   agent and runs its whole horizon before wave k + 1, so each agent
   sees its episodes in serial order and each batched replay/learn op
-  touches each agent row at most once.  Policy RNG draws and replay RNG
-  draws stay per-agent and in per-agent order.
+  touches each agent row at most once.  States do not depend on
+  actions, so each wave's states, modes and readings are stacked once;
+  per minute there is one forward, one argmax and one ``reward_vector``
+  call.  Policy ε draws and replay RNG draws stay per-agent and in
+  per-agent order.
 - :func:`greedy_rollout` / :func:`schedule_rollout` — matrix-only
   greedy evaluation rollouts.
 
@@ -50,7 +54,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.nn.optim import StackedAdam
+from repro.nn.optim import StackedAdam, flat_spans
 from repro.rl.dqn import DQNAgent
 from repro.rl.env import DeviceEnv, apply_actions
 from repro.rl.qnet import build_states
@@ -67,17 +71,21 @@ __all__ = [
 
 
 class StackedQNet:
-    """Parameter arena + broadcast-batched forward over N Q-networks.
+    """Flat parameter arena + broadcast-batched forward over N Q-networks.
 
-    All member networks must share one architecture.  On construction
-    each network's ``Parameter.data`` is rebound (in place, value-
-    preserving) to a view of the stacked per-layer tensors, so later
-    in-place updates — optimizer steps, federated ``set_weights`` —
-    write straight through to the stack with no copying or syncing.
+    All member networks must share one architecture.  The arena is one
+    ``(N, P)`` buffer: row ``i`` holds network ``i``'s parameters end to
+    end in parameter order (``W0, b0, W1, b1, ...``), so the α shared
+    base layers are a column prefix.  Per-layer ``(N, fan_in, fan_out)``
+    weight and ``(N, fan_out)`` bias stacks are views of it, and each
+    network's ``Parameter.data`` is rebound (in place, value-preserving)
+    to a view of its row, so later in-place updates — optimizer steps,
+    federated ``set_weights`` — write straight through to the arena with
+    no copying or syncing.
 
-    ``allocator`` (e.g. ``SharedArena.alloc``) places the stacked
-    tensors in caller-provided memory; the default is private heap
-    arrays via ``np.stack``.
+    ``allocator`` (e.g. ``SharedArena.alloc``) places the arena in
+    caller-provided memory, one call per stack; the default is a
+    private heap array.
     """
 
     def __init__(self, qnets: list, allocator=None) -> None:
@@ -94,36 +102,34 @@ class StackedQNet:
         self.qnets = list(qnets)
         self.in_dim = int(ref.in_dim)
         self.out_dim = int(ref.out_dim)
-        #: (N, fan_in, fan_out) weight and (N, fan_out) bias per layer.
-        self._weights: list[np.ndarray] = []
-        self._biases: list[np.ndarray] = []
-        for j in range(len(ref._linears)):
-            Ws = [qn._linears[j].W.data for qn in qnets]
-            bs = [qn._linears[j].b.data for qn in qnets]
-            if allocator is None:
-                W, b = np.stack(Ws), np.stack(bs)
-            else:
-                W = allocator((len(qnets),) + Ws[0].shape)
-                b = allocator((len(qnets),) + bs[0].shape)
-                np.stack(Ws, out=W)
-                np.stack(bs, out=b)
-            self._weights.append(W)
-            self._biases.append(b)
-        self._bcache = None
-        self._adopt()
+        self._shapes = [p.data.shape for p in ref.parameters()]
+        #: ``(lo, hi)`` column span of each parameter in a flat row.
+        self.spans = flat_spans(self._shapes)
+        shape = (len(qnets), self.spans[-1][1])
+        self._flat = np.empty(shape) if allocator is None else allocator(shape)
+        for i, qn in enumerate(qnets):
+            for p, view in zip(qn.parameters(), self._unflatten(self._flat[i])):
+                view[...] = p.data
+                p.data = view
+        self._bind()
 
     @property
     def n(self) -> int:
         return len(self.qnets)
 
     @classmethod
+    def required_shape(cls, qnet, n: int) -> tuple[int, int]:
+        """Arena shape of an *n*-network stack of *qnet*'s architecture."""
+        return (n, sum(p.data.size for p in qnet.parameters()))
+
+    @classmethod
     def view(cls, parent: "StackedQNet", lo: int, hi: int) -> "StackedQNet":
         """Zero-copy row-slice view over members ``lo:hi`` of *parent*.
 
-        The members stay bound to the parent's stacked arrays (the view
-        shares memory), so training through the view writes straight
-        into the parent arena — this is how forked shard workers train
-        on the shared weight pages.
+        The members stay bound to the parent's arena (the view shares
+        memory), so training through the view writes straight into the
+        parent arena — this is how forked shard workers train on the
+        shared weight pages.
         """
         if not 0 <= lo < hi <= parent.n:
             raise ValueError(f"invalid view range [{lo}, {hi}) of {parent.n}")
@@ -131,17 +137,32 @@ class StackedQNet:
         sub.qnets = parent.qnets[lo:hi]
         sub.in_dim = parent.in_dim
         sub.out_dim = parent.out_dim
-        sub._weights = [W[lo:hi] for W in parent._weights]
-        sub._biases = [b[lo:hi] for b in parent._biases]
-        sub._bcache = None
+        sub._shapes = parent._shapes
+        sub.spans = parent.spans
+        sub._flat = parent._flat[lo:hi]
+        sub._bind()
         return sub
 
-    def _adopt(self) -> None:
-        for j, (W, b) in enumerate(zip(self._weights, self._biases)):
-            for i, qn in enumerate(self.qnets):
-                lin = qn._linears[j]
-                lin.W.data = W[i]
-                lin.b.data = b[i]
+    def _unflatten(self, flat: np.ndarray) -> list[np.ndarray]:
+        """Per-parameter views of *flat* (one row, or ``(K, P)`` rows)."""
+        lead = flat.shape[:-1]
+        return [
+            flat[..., lo:hi].reshape(lead + shape)
+            for (lo, hi), shape in zip(self.spans, self._shapes)
+        ]
+
+    def _bind(self) -> None:
+        self._views = self._unflatten(self._flat)
+        #: (N, fan_in, fan_out) weight and (N, fan_out) bias per layer.
+        self._weights = self._views[0::2]
+        self._biases = self._views[1::2]
+
+    def _layers(self, rows: np.ndarray | None) -> list[np.ndarray]:
+        """Alternating weight / bias stacks of the selected rows: one
+        gather of the flat arena instead of one per tensor."""
+        if rows is None:
+            return self._views
+        return self._unflatten(self._flat[rows])
 
     def forward(self, states: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
         """Per-network forward: row ``i`` of *states* through network ``i``.
@@ -151,78 +172,72 @@ class StackedQNet:
         Uses broadcast ``matmul`` of ``(M, 1, d) @ (M, d, h)`` so each
         item is computed exactly as the serial batch-of-1 product.
         """
-        h = np.asarray(states, dtype=np.float64)[:, None, :]
-        last = len(self._weights) - 1
-        for j, (W, b) in enumerate(zip(self._weights, self._biases)):
-            if rows is not None:
-                W = W[rows]
-                b = b[rows]
-            h = np.matmul(h, W) + b[:, None, :]
+        return self._forward(np.asarray(states, dtype=np.float64)[:, None, :], rows)[
+            :, 0, :
+        ]
+
+    def forward_batch(self, states: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
+        """Mini-batch inference forward (the serving call):
+        ``states[k]`` (shape ``(B, d)``) through network ``rows[k]``
+        (default ``0..n-1``), one broadcast matmul per layer.  Keeps
+        nothing for a backward pass; training uses :meth:`forward_train`.
+        """
+        return self._forward(np.asarray(states, dtype=np.float64), rows)
+
+    def _forward(self, h: np.ndarray, rows: np.ndarray | None) -> np.ndarray:
+        views = self._layers(rows)
+        last = len(views) // 2 - 1
+        for j in range(last + 1):
+            h = np.matmul(h, views[2 * j])
+            h += views[2 * j + 1][:, None, :]
             if j < last:
                 h = np.where(h > 0, h, 0.0)  # ReLU, as in nn.activations
-        return h[:, 0, :]
-
-    def forward_batch(
-        self,
-        states: np.ndarray,
-        rows: np.ndarray | None = None,
-        train: bool = False,
-    ) -> np.ndarray:
-        """Mini-batch forward: ``states[k]`` (shape ``(B, d)``) through
-        network ``rows[k]`` (default ``0..n-1``), one broadcast matmul
-        per layer.  With ``train=True`` the per-layer inputs and ReLU
-        masks are cached for :meth:`backward_batch` — exactly what the
-        serial ``Linear`` / ``ReLU`` modules cache.
-        """
-        h = np.asarray(states, dtype=np.float64)
-        if rows is None:
-            sel_w, sel_b = self._weights, self._biases
-        else:
-            sel_w = [W[rows] for W in self._weights]
-            sel_b = [b[rows] for b in self._biases]
-        last = len(sel_w) - 1
-        xs: list[np.ndarray] = []
-        masks: list[np.ndarray] = []
-        for j, (W, b) in enumerate(zip(sel_w, sel_b)):
-            if train:
-                xs.append(h)
-            h = np.matmul(h, W) + b[:, None, :]
-            if j < last:
-                mask = h > 0
-                if train:
-                    masks.append(mask)
-                h = np.where(mask, h, 0.0)
-        if train:
-            self._bcache = (xs, masks, sel_w)
         return h
 
-    def backward_batch(
-        self, grad: np.ndarray
-    ) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        """Backprop *grad* through the cached :meth:`forward_batch` pass.
+    def forward_train(
+        self, states: np.ndarray, rows: np.ndarray | None = None
+    ) -> tuple[np.ndarray, tuple]:
+        """The learn step's forward: :meth:`forward_batch` that also
+        returns the per-layer inputs and ReLU masks :meth:`backward_batch`
+        needs — exactly what the serial ``Linear`` / ``ReLU`` modules
+        cache.  Returns ``(q, cache)``.
+        """
+        h = np.asarray(states, dtype=np.float64)
+        views = self._layers(rows)
+        last = len(views) // 2 - 1
+        xs: list[np.ndarray] = []
+        masks: list[np.ndarray] = []
+        for j in range(last + 1):
+            xs.append(h)
+            h = np.matmul(h, views[2 * j])
+            h += views[2 * j + 1][:, None, :]
+            if j < last:
+                mask = h > 0
+                masks.append(mask)
+                h = np.where(mask, h, 0.0)
+        return h, (xs, masks, views[0::2])
 
-        Returns per-layer ``(dW, db)`` stacks for the same rows the
-        forward ran on.  Each row's products mirror the serial
-        ``Linear.backward`` exactly: ``dW = x.T @ g``,
+    def backward_batch(self, grad: np.ndarray, cache: tuple) -> np.ndarray:
+        """Backprop *grad* through a :meth:`forward_train` pass.
+
+        Returns the flat ``(K, P)`` gradient of the rows the forward ran
+        on, in the arena's layout.  Each row's products mirror the
+        serial ``Linear.backward`` exactly: ``dW = x.T @ g``,
         ``db = g.sum(axis=0)``, ``dx = g @ W.T`` (broadcast over the
         stacked axis via ``swapaxes`` views), and the ReLU masks gate
         the flowing gradient just like ``ReLU.backward``.
         """
-        if self._bcache is None:
-            raise RuntimeError("backward_batch called before forward_batch(train=True)")
-        xs, masks, sel_w = self._bcache
-        self._bcache = None
-        n_layers = len(sel_w)
-        dWs: list[np.ndarray | None] = [None] * n_layers
-        dbs: list[np.ndarray | None] = [None] * n_layers
+        xs, masks, sel_w = cache
+        dflat = np.empty((grad.shape[0], self._flat.shape[1]))
+        dviews = self._unflatten(dflat)
         g = grad
-        for j in reversed(range(n_layers)):
-            dWs[j] = np.matmul(np.swapaxes(xs[j], 1, 2), g)
-            dbs[j] = g.sum(axis=1)
+        for j in reversed(range(len(sel_w))):
+            np.matmul(xs[j].swapaxes(1, 2), g, out=dviews[2 * j])
+            np.add.reduce(g, axis=1, out=dviews[2 * j + 1])
             if j > 0:
-                g = np.matmul(g, np.swapaxes(sel_w[j], 1, 2))
+                g = np.matmul(g, sel_w[j].swapaxes(1, 2))
                 g = np.where(masks[j - 1], g, 0.0)
-        return dWs, dbs
+        return dflat
 
 
 class _StackedReplay:
@@ -431,40 +446,31 @@ class StackedLearner:
         batch = cfg.batch_size
         s, a, r, s2, done = self.replay.sample_rows(rows, batch)
         sel = None if len(rows) == self.n else rows
-        q_next = self.tstack.forward_batch(s2, rows=sel)
+        q_next = self.tstack._forward(s2, sel)
         if cfg.double_q:
-            best = self.qstack.forward_batch(s2, rows=sel).argmax(axis=2)
+            best = self.qstack._forward(s2, sel).argmax(axis=2)
             next_vals = np.take_along_axis(q_next, best[..., None], axis=2)[..., 0]
         else:
             next_vals = q_next.max(axis=2)
         target_vals = r * cfg.reward_scale + cfg.discount * next_vals * (~done)
 
-        q = self.qstack.forward_batch(s, rows=sel, train=True)
-        chosen = np.take_along_axis(q, a[..., None], axis=2)[..., 0]
+        q, cache = self.qstack.forward_train(s, rows=sel)
+        at = (np.arange(len(rows))[:, None], np.arange(batch), a)
+        chosen = q[at]
         # Huber gradient, exactly as nn.losses.HuberLoss (n = batch).
         diff = chosen - target_vals
         quad = np.abs(diff) <= cfg.huber_delta
         dchosen = np.where(quad, diff, cfg.huber_delta * np.sign(diff)) / batch
         grad = np.zeros_like(q)
-        np.put_along_axis(grad, a[..., None], dchosen[..., None], axis=2)
-        dWs, dbs = self.qstack.backward_batch(grad)
-        params: list[np.ndarray] = []
-        grads: list[np.ndarray] = []
-        for W, b, dW, db in zip(self.qstack._weights, self.qstack._biases, dWs, dbs):
-            params.append(W)
-            grads.append(dW)
-            params.append(b)
-            grads.append(db)
-        self.optim.step(params, grads, rows=sel)
+        grad[at] = dchosen
+        dflat = self.qstack.backward_batch(grad, cache)
+        self.optim.step(self.qstack._flat, dflat, rows=sel)
 
         self._learn_steps[rows] += 1
         self._sgd_steps[rows] += 1
         sync = rows[self._learn_steps[rows] % cfg.target_replace_iter == 0]
         if len(sync):
-            for Wq, Wt in zip(self.qstack._weights, self.tstack._weights):
-                Wt[sync] = Wq[sync]
-            for bq, bt in zip(self.qstack._biases, self.tstack._biases):
-                bt[sync] = bq[sync]
+            self.tstack._flat[sync] = self.qstack._flat[sync]
 
 
 class BatchedEpisodeEngine:
@@ -587,25 +593,37 @@ class BatchedEpisodeEngine:
             learner = self._learners[slot]
             sel = None if len(rows) == stack.n else rows
             envs = [pairs[i][1] for i in idxs]
-            policies = [self._agents[pairs[i][0]].policy for i in idxs]
-            states = np.stack([env.reset() for env in envs])
-            k = len(idxs)
-            for _ in range(horizon):
-                q = stack.forward(states, rows=sel)
-                a = np.empty(k, dtype=np.int64)
-                r = np.empty(k)
-                s2 = np.empty_like(states)
-                d = np.empty(k, dtype=bool)
-                for bj, (env, policy) in enumerate(zip(envs, policies)):
-                    action = policy.select(q[bj])
-                    step = env.step(action)
-                    a[bj] = action
-                    r[bj] = step.reward
-                    s2[bj] = step.state
-                    d[bj] = step.done
-                    totals[idxs[bj]] += step.reward
-                learner.observe_rows(rows, states, a, r, s2, d)
-                states = s2
+            explore = [self._agents[pairs[i][0]].policy.explore for i in idxs]
+            # States do not depend on actions, so the wave's precomputed
+            # state matrices, modes and readings stack once, minute-major.
+            states = np.stack([env._states for env in envs], axis=1)
+            modes = np.stack([env.ground_truth_mode for env in envs], axis=1)
+            real = np.stack([env.real_kw for env in envs], axis=1)
+            standby = np.array([env.standby_kw for env in envs])
+            actions = np.empty((horizon, len(idxs)), dtype=np.int64)
+            wave_total = np.zeros(len(idxs))
+            not_done = np.zeros(len(idxs), dtype=bool)
+            for t in range(horizon):
+                a = actions[t]
+                a[:] = stack.forward(states[t], rows=sel).argmax(axis=1)
+                # Only the ε draws stay per agent, in the serial order.
+                for bj, draw in enumerate(explore):
+                    action = draw()
+                    if action is not None:
+                        a[bj] = action
+                r = reward_vector(modes[t], a)
+                wave_total += r
+                if t + 1 < horizon:
+                    learner.observe_rows(rows, states[t], a, r, states[t + 1], not_done)
+                else:  # DeviceEnv.step's terminal transition
+                    learner.observe_rows(
+                        rows, states[t], a, r, np.zeros_like(states[t]), ~not_done
+                    )
+            controlled = apply_actions(actions, real, standby)
+            for bj, env in enumerate(envs):
+                env._t = horizon
+                env.controlled_kw = controlled[:, bj].copy()
+                totals[idxs[bj]] = float(wave_total[bj])
         for learner in self._learners.values():
             learner.sync_out()
         optima = [env.max_episode_reward() for _, env in pairs]
@@ -630,7 +648,7 @@ def greedy_rollout(qnet, dev_stream) -> tuple[np.ndarray, np.ndarray, np.ndarray
         dev_stream.standby_kw,
         dev_stream.device,
     )
-    actions = qnet.forward(states).argmax(axis=1).astype(np.int64)
+    actions = qnet.forward(states, cache=False).argmax(axis=1).astype(np.int64)
     controlled = apply_actions(actions, dev_stream.real_kw, dev_stream.standby_kw)
     rewards = reward_vector(dev_stream.mode, actions)
     return actions, controlled, rewards
@@ -652,7 +670,7 @@ def schedule_rollout(qnet, envs) -> list[np.ndarray]:
     states = [env.reset() for env in envs]
     active = [i for i, env in enumerate(envs) if env.horizon > 0]
     while active:
-        q = qnet.forward(np.stack([states[i] for i in active]))
+        q = qnet.forward(np.stack([states[i] for i in active]), cache=False)
         actions = q.argmax(axis=1)
         still = []
         for i, action in zip(active, actions):

@@ -77,7 +77,7 @@ class DQNAgent:
     # ------------------------------------------------------------------
     def act(self, state: np.ndarray, greedy: bool = False) -> int:
         """Pick an action for *state* (ε-greedy unless ``greedy``)."""
-        q = self.qnet.forward(np.asarray(state, dtype=np.float64)[None, :])[0]
+        q = self.qnet.forward(np.asarray(state, dtype=np.float64)[None, :], cache=False)[0]
         return self.policy.select(q, greedy=greedy)
 
     def observe(

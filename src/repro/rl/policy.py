@@ -48,11 +48,23 @@ class EpsilonGreedy:
         if q_values.shape != (self.n_actions,):
             raise ValueError(f"expected {self.n_actions} Q-values, got {q_values.shape}")
         if not greedy:
-            eps = self.epsilon
-            self._step += 1
-            if self._rng.random() < eps:
-                return int(self._rng.integers(0, self.n_actions))
+            action = self.explore()
+            if action is not None:
+                return action
         return int(np.argmax(q_values))
+
+    def explore(self) -> int | None:
+        """One ε draw: the exploratory action, or ``None`` to act greedily.
+
+        Advances the decay step and draws from the policy RNG exactly as
+        :meth:`select` does, so a caller that takes the greedy argmax of
+        many agents at once stays on each agent's serial RNG stream.
+        """
+        eps = self.epsilon
+        self._step += 1
+        if self._rng.random() < eps:
+            return int(self._rng.integers(0, self.n_actions))
+        return None
 
     def reset(self) -> None:
         self._step = 0

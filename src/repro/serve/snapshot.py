@@ -292,9 +292,9 @@ class ModelSnapshot:
 
     def _freeze(self) -> None:
         """Make every model array read-only — snapshots never mutate."""
-        for arr in self.stack._weights + self.stack._biases:
+        for arr in [self.stack._flat, *self.stack._views]:
             arr.flags.writeable = False
-        # Member parameter views were carved before the stacks froze, so
+        # Member parameter views were carved before the arena froze, so
         # their writeable flags must drop explicitly.
         for qnet in self.stack.qnets:
             for p in qnet.parameters():

@@ -8,6 +8,7 @@ recovery mode where churned agents reboot from their last snapshot.
 """
 
 import math
+import zipfile
 
 import numpy as np
 import pytest
@@ -431,3 +432,53 @@ class TestTraceResume:
         # guard refuses before the trace digest is even consulted.
         with pytest.raises(CheckpointError):
             PFDRLSystem(make_config(other)).resume_from(store)
+
+
+def recompress(ckpt_dir):
+    """Rewrite a checkpoint's arrays deflated, as ``np.savez_compressed``
+    wrote every checkpoint before arrays were stored uncompressed."""
+    path = ckpt_dir / "arrays.npz"
+    with np.load(path) as npz:
+        arrays = {key: npz[key] for key in npz.files}
+    np.savez_compressed(path, **arrays)
+    with zipfile.ZipFile(path) as zf:
+        assert {i.compress_type for i in zf.infolist()} == {zipfile.ZIP_DEFLATED}
+
+
+class TestArrayStorageCompat:
+    def test_arrays_are_stored_uncompressed(self, tmp_path):
+        store = CheckpointStore(tmp_path, keep_last=3)
+        with pytest.raises(TrainingInterrupted):
+            PFDRLSystem(make_config()).run(checkpoint_store=store, stop_after_step=1)
+        with zipfile.ZipFile(tmp_path / "ckpt-00000001" / "arrays.npz") as zf:
+            assert {i.compress_type for i in zf.infolist()} == {zipfile.ZIP_STORED}
+
+    def test_deflated_checkpoint_loads_verifies_and_resumes(self, tmp_path):
+        full = PFDRLSystem(make_config()).run()
+        store = CheckpointStore(tmp_path, keep_last=3)
+        with pytest.raises(TrainingInterrupted):
+            PFDRLSystem(make_config()).run(checkpoint_store=store, stop_after_step=4)
+        stored_state, _ = store.load(4)
+        recompress(tmp_path / "ckpt-00000004")
+
+        deflated_state, _ = store.load(4, verify=True)
+        assert deep_equal(deflated_state, stored_state)
+        resumed = PFDRLSystem(make_config()).run(checkpoint_store=store, resume=True)
+        assert deep_equal(full.to_dict(), resumed.to_dict())
+
+    def test_corrupted_stored_member_raises(self, tmp_path):
+        store = CheckpointStore(tmp_path, keep_last=3)
+        with pytest.raises(TrainingInterrupted):
+            PFDRLSystem(make_config()).run(checkpoint_store=store, stop_after_step=1)
+        path = tmp_path / "ckpt-00000001" / "arrays.npz"
+        with zipfile.ZipFile(path) as zf:
+            info = max(zf.infolist(), key=lambda i: i.file_size)
+            # Local header (30 bytes + name + extra) precedes the member.
+            zf.fp.seek(info.header_offset + 26)
+            name_len, extra_len = np.frombuffer(zf.fp.read(4), dtype="<u2")
+        data_at = info.header_offset + 30 + int(name_len) + int(extra_len)
+        raw = bytearray(path.read_bytes())
+        raw[data_at + info.file_size - 8] ^= 0xFF  # a byte of the array data
+        path.write_bytes(bytes(raw))
+        with pytest.raises(CheckpointError):
+            store.load(1)

@@ -141,8 +141,11 @@ class TestStackedQNet:
         stack = StackedQNet([a.qnet for a in agents])
         for i, agent in enumerate(agents):
             for j, lin in enumerate(agent.qnet._linears):
-                assert lin.W.data.base is stack._weights[j]
-                assert lin.b.data.base is stack._biases[j]
+                # Views of one flat (N, P) arena, at their layer's rows.
+                assert lin.W.data.base is stack._flat
+                assert lin.b.data.base is stack._flat
+                assert np.shares_memory(lin.W.data, stack._weights[j][i])
+                assert np.shares_memory(lin.b.data, stack._biases[j][i])
 
     def test_architecture_mismatch_rejected(self, dqn_config):
         a = DQNAgent(dqn_config, seed=0)
@@ -194,9 +197,11 @@ def assert_arena_bound(engine):
                     assert same(lin.W.data, net_stack._weights[j][i])
                     assert same(lin.b.data, net_stack._biases[j][i])
         for i, agent in enumerate(learner.agents):
-            for k, (m, v) in enumerate(zip(agent.optimizer._m, agent.optimizer._v)):
-                assert same(m, learner.optim._m[k][i])
-                assert same(v, learner.optim._v[k][i])
+            for (lo, _), m, v in zip(
+                learner.optim.spans, agent.optimizer._m, agent.optimizer._v
+            ):
+                assert same(m.ravel(), learner.optim._m[i, lo:lo + m.size])
+                assert same(v.ravel(), learner.optim._v[i, lo:lo + v.size])
             assert same(agent.replay._states, learner.replay._states[i])
 
 
