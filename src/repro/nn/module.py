@@ -66,7 +66,9 @@ class Module:
         return sum(p.size for p in self.parameters())
 
     # -- computation --------------------------------------------------
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray, cache: bool = True) -> np.ndarray:
+        """Compute the output; ``cache=False`` (inference) keeps no state
+        for :meth:`backward`."""
         raise NotImplementedError
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:

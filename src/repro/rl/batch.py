@@ -172,9 +172,8 @@ class StackedQNet:
         Uses broadcast ``matmul`` of ``(M, 1, d) @ (M, d, h)`` so each
         item is computed exactly as the serial batch-of-1 product.
         """
-        return self._forward(np.asarray(states, dtype=np.float64)[:, None, :], rows)[
-            :, 0, :
-        ]
+        h = np.asarray(states, dtype=np.float64)[:, None, :]
+        return self._forward(h, self._layers(rows))[:, 0, :]
 
     def forward_batch(self, states: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
         """Mini-batch inference forward (the serving call):
@@ -182,17 +181,7 @@ class StackedQNet:
         (default ``0..n-1``), one broadcast matmul per layer.  Keeps
         nothing for a backward pass; training uses :meth:`forward_train`.
         """
-        return self._forward(np.asarray(states, dtype=np.float64), rows)
-
-    def _forward(self, h: np.ndarray, rows: np.ndarray | None) -> np.ndarray:
-        views = self._layers(rows)
-        last = len(views) // 2 - 1
-        for j in range(last + 1):
-            h = np.matmul(h, views[2 * j])
-            h += views[2 * j + 1][:, None, :]
-            if j < last:
-                h = np.where(h > 0, h, 0.0)  # ReLU, as in nn.activations
-        return h
+        return self._forward(np.asarray(states, dtype=np.float64), self._layers(rows))
 
     def forward_train(
         self, states: np.ndarray, rows: np.ndarray | None = None
@@ -202,20 +191,34 @@ class StackedQNet:
         needs — exactly what the serial ``Linear`` / ``ReLU`` modules
         cache.  Returns ``(q, cache)``.
         """
-        h = np.asarray(states, dtype=np.float64)
         views = self._layers(rows)
-        last = len(views) // 2 - 1
         xs: list[np.ndarray] = []
         masks: list[np.ndarray] = []
+        h = self._forward(np.asarray(states, dtype=np.float64), views, xs, masks)
+        return h, (xs, masks, views[0::2])
+
+    @staticmethod
+    def _forward(
+        h: np.ndarray,
+        views: list[np.ndarray],
+        xs: list | None = None,
+        masks: list | None = None,
+    ) -> np.ndarray:
+        """The one forward loop over alternating weight / bias *views*;
+        appends each layer's input to *xs* and each ReLU mask to *masks*
+        when given."""
+        last = len(views) // 2 - 1
         for j in range(last + 1):
-            xs.append(h)
+            if xs is not None:
+                xs.append(h)
             h = np.matmul(h, views[2 * j])
             h += views[2 * j + 1][:, None, :]
             if j < last:
                 mask = h > 0
-                masks.append(mask)
-                h = np.where(mask, h, 0.0)
-        return h, (xs, masks, views[0::2])
+                if masks is not None:
+                    masks.append(mask)
+                h = np.where(mask, h, 0.0)  # ReLU, as in nn.activations
+        return h
 
     def backward_batch(self, grad: np.ndarray, cache: tuple) -> np.ndarray:
         """Backprop *grad* through a :meth:`forward_train` pass.
@@ -446,9 +449,9 @@ class StackedLearner:
         batch = cfg.batch_size
         s, a, r, s2, done = self.replay.sample_rows(rows, batch)
         sel = None if len(rows) == self.n else rows
-        q_next = self.tstack._forward(s2, sel)
+        q_next = self.tstack._forward(s2, self.tstack._layers(sel))
         if cfg.double_q:
-            best = self.qstack._forward(s2, sel).argmax(axis=2)
+            best = self.qstack._forward(s2, self.qstack._layers(sel)).argmax(axis=2)
             next_vals = np.take_along_axis(q_next, best[..., None], axis=2)[..., 0]
         else:
             next_vals = q_next.max(axis=2)
