@@ -5,8 +5,9 @@ barriers, so :class:`~repro.core.pfdrl.PFDRLTrainer` can split its
 residences over forked worker processes when
 ``PFDRLConfig.ems_workers > 1``.  That is the one process pool in the
 package, kept because it is measured to pay: on 2 CPUs it trains
-1.40–1.77× faster than the in-process engine at 64 residences, in both
-agent scopes, and about 1.0× at the CLI's 4 residences.  Results are
+about 1.3× faster than the in-process engine at 64 residences
+(``benchmarks/bench_hotpath.py``), and about 1.0× at the CLI's 4
+residences.  Results are
 bit-identical to the in-process engine.
 
 - :class:`repro.parallel.persistent.WorkerPool` — persistent *routed*
