@@ -319,8 +319,7 @@ class FaultConfig:
     """Communication-fault model for the federated fabric.
 
     All rates default to zero: the default config is the paper's perfectly
-    reliable residential LAN, and every trainer path is bit-identical to
-    the fault-free implementation.  Faults apply to the *decentralized*
+    reliable residential LAN.  Faults apply to the *decentralized*
     sharing paths (DFL broadcast rounds and the γ-round DRL mesh); the
     centralized baselines keep the ideal link.
 
@@ -422,9 +421,11 @@ class FaultConfig:
     def active(self) -> bool:
         """True when any fault mechanism can change behaviour.
 
-        With ``active == False`` the trainers use the plain
-        :class:`~repro.federated.transport.MessageBus` — the zero-fault
-        path is the original, bit-identical implementation.
+        With ``active == False``
+        :func:`~repro.federated.faults.make_bus` returns the plain
+        :class:`~repro.federated.transport.MessageBus`; the share rounds
+        run the same code over it, with every agent online and every
+        payload fresh.
         """
         return bool(
             self.drop_rate > 0

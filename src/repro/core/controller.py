@@ -4,9 +4,9 @@ Training uses batched day streams; deployment is a minute loop: readings
 arrive one minute at a time, the forecast refreshes at every horizon
 boundary ("by default hourly", §3.1), and the DQN picks one action per
 device per minute.  :class:`OnlineController` packages one residence's
-trained forecasters + DQN agent behind exactly that loop:
+trained forecasters + greedy DQN behind exactly that loop:
 
->>> controller = OnlineController(forecasters, agent, nominals)  # doctest: +SKIP
+>>> controller = OnlineController(forecasters, agent.qnet, nominals)  # doctest: +SKIP
 >>> actions = controller.observe_minute({"tv": 0.012, "light": 0.0})  # doctest: +SKIP
 
 Until a device has a full lag window of history, its forecast falls back
@@ -22,7 +22,6 @@ from typing import Mapping
 import numpy as np
 
 from repro.forecast import Forecaster, augment_time_features, normalize_power
-from repro.rl.dqn import DQNAgent
 from repro.rl.env import apply_actions
 from repro.rl.qnet import build_state
 
@@ -136,8 +135,10 @@ class OnlineController:
     forecasters:
         Trained per-device forecasters (e.g. from a
         :class:`repro.federated.dfl.DFLClient` after DFL training).
-    agent:
-        Trained :class:`repro.rl.dqn.DQNAgent` (greedy at deployment).
+    qnet:
+        The trained Q-network (e.g. :attr:`repro.rl.dqn.DQNAgent.qnet`);
+        deployment acts greedily, taking the first-index argmax of one
+        cache-free forward per state.
     nominals:
         Per-device :class:`DeviceNominals`.
     minutes_per_day:
@@ -156,7 +157,7 @@ class OnlineController:
     def __init__(
         self,
         forecasters: dict[str, Forecaster],
-        agent: DQNAgent,
+        qnet,
         nominals: dict[str, DeviceNominals],
         minutes_per_day: int = 1440,
         t0: int = 0,
@@ -167,7 +168,7 @@ class OnlineController:
         if not forecasters:
             raise ValueError("need at least one device")
         self.forecasters = forecasters
-        self.agent = agent
+        self.qnet = qnet
         self.nominals = nominals
         self.minutes_per_day = int(minutes_per_day)
         self.t0 = int(t0)
@@ -226,7 +227,7 @@ class OnlineController:
             nom = self.nominals[device]
             pred = float(self._pending_forecast[device][self._forecast_pos[device]])
             state = build_state(pred, value, nom.on_kw, nom.standby_kw, device=device)
-            action = self.agent.act(state, greedy=True)
+            action = int(np.argmax(self.qnet.forward(state[None], cache=False)[0]))
             actions[device] = action
             self.stats.actions[action] += 1
 

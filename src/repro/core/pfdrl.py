@@ -28,7 +28,7 @@ import numpy as np
 from repro.config import DQNConfig, FaultConfig, FederationConfig
 from repro.core.personalization import PersonalizationManager
 from repro.core.streams import ResidenceStream
-from repro.federated.faults import FaultyBus, ReceiveFilter, make_bus
+from repro.federated.faults import ReceiveFilter, make_bus
 from repro.federated.hierarchy import HierarchicalFederation
 from repro.federated.scheduler import BroadcastScheduler
 from repro.federated.server import CentralServer
@@ -656,6 +656,15 @@ class PFDRLTrainer:
 
     # ------------------------------------------------------------------
     def _share_round(self) -> None:
+        """One γ share event of the current sharing mode.
+
+        Personalized sharing on the flat mesh runs the α base layers
+        through the round of
+        :meth:`repro.federated.dfl.DFLTrainer._broadcast_and_aggregate`
+        (one shared-medium transmission per agent on the air); device-
+        scope agents tag payloads per device type so only peers
+        aggregate them.
+        """
         if self.sharing == "none":
             return
         if self.sharing == "full":
@@ -676,25 +685,37 @@ class PFDRLTrainer:
         if self.hierarchy is not None:
             self._hierarchical_share_round()
             return
-        if self.fault_config is not None:
-            self._faulty_share_round()
-            return
-        # Personalized decentralized sharing: α base layers over the mesh.
-        # One shared-medium transmission per agent per event (the LAN
-        # broadcast reaches all neighbours at once); device-scope agents
-        # tag payloads per device type so only peers aggregate them.
+        bus = self.bus
+        faults = self.fault_config or FaultConfig()
+        if self._agent_snapshots is not None:
+            # Recovery snapshots serialise full agent state, which for
+            # pool workers lives worker-side; refresh the mirror first.
+            self._pull_worker_states()
         for group in self._share_groups:
             slot = group[0][1]
             tag = f"drl-base/{slot}"
             for key in group:
+                if not bus.sends_this_round(key[0]):
+                    continue
                 payload = self._managers[key].base_weights()
-                self.bus.broadcast(key[0], payload, tag=tag)
+                bus.broadcast(key[0], payload, tag=tag)
                 self._params_broadcast += sum(int(w.size) for w in payload)
             for key in group:
-                received = [
-                    list(m.payload) for m in self.bus.collect(key[0], tag=tag)
-                ]
-                self._managers[key].apply_aggregation(received)
+                rid = key[0]
+                if not bus.is_online(rid):
+                    continue
+                manager = self._managers[key]
+                recv = ReceiveFilter(
+                    bus, faults, manager.base_weights(),
+                    len(self.topology.neighbors(rid)),
+                ).admit(bus.collect(rid, tag=tag))
+                if not recv.accept():
+                    continue
+                manager.apply_aggregation(
+                    recv.payloads, client_weights=recv.client_weights()
+                )
+        bus.advance_round()
+        self._restore_recovered()
 
     def _hierarchical_share_round(self) -> None:
         """γ-round sharing through the two-tier federation.
@@ -741,48 +762,6 @@ class PFDRLTrainer:
                 quorum_skips=summary["quorum_skips"],
             )
 
-    def _faulty_share_round(self) -> None:
-        """γ-round sharing over the fault-injected mesh.
-
-        Mirrors :meth:`repro.federated.dfl.DFLTrainer._faulty_round`:
-        crashed agents are off the air, stragglers sit out, receivers
-        quarantine corrupted base layers, discount stale ones, and only
-        merge when the neighbour quorum was heard — otherwise the agent
-        keeps its local model for this round (counted, not silent).
-        """
-        bus = self.bus
-        assert isinstance(bus, FaultyBus)
-        faults = self.fault_config
-        if self._agent_snapshots is not None:
-            # Recovery snapshots serialise full agent state, which for
-            # pool workers lives worker-side; refresh the mirror first.
-            self._pull_worker_states()
-        for group in self._share_groups:
-            slot = group[0][1]
-            tag = f"drl-base/{slot}"
-            for key in group:
-                if not bus.sends_this_round(key[0]):
-                    continue
-                payload = self._managers[key].base_weights()
-                bus.broadcast(key[0], payload, tag=tag)
-                self._params_broadcast += sum(int(w.size) for w in payload)
-            for key in group:
-                rid = key[0]
-                if not bus.is_online(rid):
-                    continue
-                manager = self._managers[key]
-                recv = ReceiveFilter(
-                    bus, faults, manager.base_weights(),
-                    len(self.topology.neighbors(rid)),
-                ).admit(bus.collect(rid, tag=tag))
-                if not recv.accept():
-                    continue
-                manager.apply_aggregation(
-                    recv.payloads, client_weights=recv.client_weights()
-                )
-        bus.advance_round()
-        self._restore_recovered()
-
     def _restore_recovered(self) -> None:
         """Recovery mode: reload snapshots for residences back from a crash.
 
@@ -793,7 +772,6 @@ class PFDRLTrainer:
         if self._agent_snapshots is None:
             return
         bus = self.bus
-        assert isinstance(bus, FaultyBus)
         restored: list[int] = []
         for rid in bus.drain_recovered():
             slots = self._agent_snapshots.get(rid)

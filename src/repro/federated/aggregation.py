@@ -45,7 +45,7 @@ def staleness_weights(
     payloads are geometrically discounted, and anything older than
     *horizon* rounds is rejected outright (weight 0) — stale gradients
     must not drag the average backwards.  With all ages zero this is the
-    uniform FedAvg mean, bit-identical to the reliable-link path.
+    uniform FedAvg mean, bit-identical to unweighted ``average_weights``.
     """
     if horizon < 0:
         raise ValueError("horizon must be >= 0")

@@ -33,7 +33,7 @@ import numpy as np
 
 from repro.config import FaultConfig, FederationConfig, ForecastConfig
 from repro.data.dataset import NeighborhoodDataset
-from repro.federated.faults import FaultyBus, ReceiveFilter, make_bus
+from repro.federated.faults import ReceiveFilter, make_bus
 from repro.federated.scheduler import BroadcastScheduler
 from repro.federated.topology import make_topology
 from repro.forecast import Forecaster, make_forecaster, make_windows, normalize_power
@@ -199,8 +199,9 @@ class DFLTrainer:
         links with bounded retransmission, corruption (quarantined before
         averaging), delayed deliveries (staleness-discounted, rejected
         past the horizon), churn/stragglers, and quorum-gated rounds.
-        ``None`` or an all-zero config keeps the original reliable bus,
-        bit-identical to the fault-free implementation.
+        ``None`` or an all-zero config gives the plain bus, over which
+        the same round runs with every agent online and every payload
+        fresh.
     """
 
     def __init__(
@@ -434,47 +435,22 @@ class DFLTrainer:
         return loss
 
     def _broadcast_and_aggregate(self) -> None:
+        """One broadcast event of the current sharing mode.
+
+        Decentralized: agents on the air broadcast every device model
+        (crashed agents and stragglers sitting out this round do not).
+        Each online receiver quarantines invalid payloads, discounts or
+        rejects stale ones, and averages per device type with its own
+        model only when the quorum of expected neighbours was heard —
+        otherwise it continues locally and the skip is counted.
+        """
         if self.mode in ("local", "cloud"):
             return
         if self.mode == "centralized":
             self._central_round()
             return
-        if self.fault_config is not None:
-            self._faulty_round()
-            return
-        # Decentralized: everyone broadcasts, then everyone aggregates the
-        # models it received per device type together with its own.
-        for client in self.clients:
-            for device in client.device_types:
-                payload = client.get_weights(device)
-                if self.compressor is not None:
-                    wire = self.compressor.compress(payload)
-                    self.compressed_bytes += wire.nbytes
-                    payload = self.compressor.decompress(wire)
-                self.bus.broadcast(client.residence_id, payload, tag=f"fc/{device}")
-        for client in self.clients:
-            for device in client.device_types:
-                received = [
-                    list(m.payload)
-                    for m in self.bus.collect(client.residence_id, tag=f"fc/{device}")
-                ]
-                if not received:
-                    continue
-                merged = average_weights([client.get_weights(device), *received])
-                client.set_weights(device, merged)
-
-    def _faulty_round(self) -> None:
-        """Decentralized round over the fault-injected fabric.
-
-        Crashed agents are off the air; stragglers skip sending this
-        round (they still listen).  Receivers quarantine corrupted
-        payloads, discount/reject stale ones, and only aggregate when the
-        quorum of expected neighbours was heard — otherwise they continue
-        on their local model and the skip is counted.
-        """
         bus = self.bus
-        assert isinstance(bus, FaultyBus)
-        faults = self.fault_config
+        faults = self.fault_config or FaultConfig()
         for client in self.clients:
             if not bus.sends_this_round(client.residence_id):
                 continue
@@ -516,7 +492,6 @@ class DFLTrainer:
         if self._agent_snapshots is None:
             return
         bus = self.bus
-        assert isinstance(bus, FaultyBus)
         by_rid = {c.residence_id: c for c in self.clients}
         for rid in bus.drain_recovered():
             client = by_rid.get(rid)

@@ -34,11 +34,14 @@ Every random decision comes from one private generator seeded from
 fault seed replays the identical fault schedule, and fault injection
 never perturbs training randomness.
 
-The receiver-side policies (validation, staleness, quorum) live with the
-consumers — :meth:`repro.federated.dfl.DFLTrainer._broadcast_and_aggregate`
-and the γ-round path of :class:`repro.core.pfdrl.PFDRLTrainer` — built on
-the helpers here and the staleness weighting in
-:mod:`repro.federated.aggregation`.
+The receiver-side policies (validation, staleness, quorum) are
+:class:`ReceiveFilter`, built on the staleness weighting in
+:mod:`repro.federated.aggregation`.  Every share round runs them —
+:meth:`repro.federated.dfl.DFLTrainer._broadcast_and_aggregate`,
+:meth:`repro.core.pfdrl.PFDRLTrainer._share_round` and the hierarchy's
+upper tier — over whatever bus :func:`make_bus` returned.  There is one
+round path: zero faults means the plain bus, on which every agent is
+online and every payload is fresh.
 """
 
 from __future__ import annotations
@@ -66,8 +69,10 @@ PROBES_PER_ROUND = 4
 def make_bus(topology: Topology, faults: FaultConfig | None) -> MessageBus:
     """A transport for *topology*: plain bus unless faults are active.
 
-    Keeping the plain :class:`MessageBus` for inactive configs guarantees
-    the zero-fault path is bit-identical to the original implementation.
+    The one place that decides whether the fabric is faulty.  The plain
+    :class:`MessageBus` loses nothing and answers every liveness hook
+    with "online, sending, nobody recovered", so the share rounds run
+    the same code over it as over a :class:`FaultyBus`.
     """
     if faults is not None and faults.active:
         return FaultyBus(topology, faults)

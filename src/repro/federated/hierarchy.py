@@ -48,7 +48,7 @@ import numpy as np
 
 from repro.config import FaultConfig, HierarchyConfig, config_to_dict
 from repro.federated.aggregation import staleness_weights
-from repro.federated.faults import FaultyBus, ReceiveFilter, make_bus
+from repro.federated.faults import ReceiveFilter, make_bus
 from repro.federated.server import CentralServer
 from repro.federated.topology import Topology, make_topology
 from repro.federated.transport import MessageBus, TransportStats
@@ -263,10 +263,11 @@ class HierarchicalFederation:
     faults:
         Optional :class:`~repro.config.FaultConfig` applied to the
         **upper tier** (tier 0 is the paper's reliable residential
-        LAN).  When active, the upper bus is a
-        :class:`~repro.federated.faults.FaultyBus` — traces, churn,
-        self-healing and the quorum/staleness receive policies all
-        operate between aggregators exactly as on the flat mesh.
+        LAN); ``None`` means the default, fault-free config.  The upper
+        bus comes from :func:`~repro.federated.faults.make_bus`, so
+        traces, churn, self-healing and the quorum/staleness receive
+        policies all operate between aggregators exactly as on the flat
+        mesh.
     """
 
     def __init__(
@@ -300,7 +301,7 @@ class HierarchicalFederation:
         self.upper_topology: Topology = make_topology(
             config.upper_topology, self.n_clusters, hub=hub
         )
-        self.faults = faults if (faults is not None and faults.active) else None
+        self.faults = faults if faults is not None else FaultConfig()
         self.upper_bus = make_bus(self.upper_topology, self.faults)
         self.sampler = ParticipationSampler(config, self.clusters)
         #: γ-round counter (one per share *event*, shared by all slots).
@@ -367,16 +368,15 @@ class HierarchicalFederation:
         # 2. Tier-1 exchange: every (online, non-straggling) aggregator
         #    broadcasts its cluster mean to its upper-tier neighbours.
         upper = self.upper_bus
-        faulty = isinstance(upper, FaultyBus)
         for cid in range(self.n_clusters):
-            if faulty and not upper.sends_this_round(cid):
+            if not upper.sends_this_round(cid):
                 continue
             upper.broadcast(cid, cluster_means[cid], tag=tag)
         # 3. Merge + tier-0 downlink: each aggregator size-weights the
         #    means it heard against its own and broadcasts the global
         #    estimate back to every member (participant or not).
         for cid, members in enumerate(self.clusters):
-            if faulty and not upper.is_online(cid):
+            if not upper.is_online(cid):
                 continue  # a crashed aggregator serves nobody this round
             merged = self._merge_upper(cid, cluster_means[cid], tag)
             bus = self.cluster_buses[cid]
@@ -392,43 +392,32 @@ class HierarchicalFederation:
         """Cluster *cid*'s global estimate from its upper-tier inbox.
 
         Cluster means are weighted by their (static, globally known)
-        cluster sizes; under faults the received means additionally run
-        through the PR-1 :class:`~repro.federated.faults.ReceiveFilter`
-        — corrupted payloads quarantined, stale ones discounted or
-        rejected, and the whole merge skipped (own mean kept) when the
-        neighbour quorum was not heard.
+        cluster sizes.  The received means run through the
+        :class:`~repro.federated.faults.ReceiveFilter` — corrupted
+        payloads quarantined, stale ones discounted or rejected, and the
+        whole merge skipped (own mean kept) when the neighbour quorum was
+        not heard.
         """
         upper = self.upper_bus
-        msgs = upper.collect(cid, tag=tag)
-        if self.faults is not None:
-            recv = ReceiveFilter(
-                upper,
-                self.faults,
-                own_mean,
-                len(self.upper_topology.neighbors(cid)),
-            ).admit(msgs)
-            if not recv.accept():
-                return [w.copy() for w in own_mean]
-            discounts = staleness_weights(
-                recv.ages, self.faults.staleness_horizon, self.faults.staleness_decay
-            )
-            weights = [float(self.cluster_sizes[cid])] + [
-                self.cluster_sizes[src] * float(d)
-                for src, d in zip(recv.srcs, discounts)
-            ]
-            payloads = recv.payloads
-        else:
-            if not msgs:
-                return [w.copy() for w in own_mean]
-            weights = [float(self.cluster_sizes[cid])] + [
-                float(self.cluster_sizes[m.src]) for m in msgs
-            ]
-            payloads = [list(m.payload) for m in msgs]
-        return average_weights([list(own_mean), *payloads], weights)
+        recv = ReceiveFilter(
+            upper,
+            self.faults,
+            own_mean,
+            len(self.upper_topology.neighbors(cid)),
+        ).admit(upper.collect(cid, tag=tag))
+        if not recv.accept():
+            return [w.copy() for w in own_mean]
+        discounts = staleness_weights(
+            recv.ages, self.faults.staleness_horizon, self.faults.staleness_decay
+        )
+        weights = [float(self.cluster_sizes[cid])] + [
+            self.cluster_sizes[src] * float(d) for src, d in zip(recv.srcs, discounts)
+        ]
+        return average_weights([list(own_mean), *recv.payloads], weights)
 
     def _advance_round(self) -> None:
         """Round boundary on every bus (tier 0 stamps ages for the cache;
-        tier 1 drives churn/traces/self-healing on the FaultyBus)."""
+        on a fault fabric tier 1 drives churn/traces/self-healing)."""
         for bus in self.cluster_buses:
             bus.advance_round()
         self.upper_bus.advance_round()

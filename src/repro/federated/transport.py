@@ -51,7 +51,8 @@ class Message:
 
     ``round`` stamps the broadcast round the payload was *sent* in
     (``bus.round`` at send time) so receivers can age-gate stale weights;
-    the fault-free bus never advances the counter, so it stays 0 there.
+    on the fault-free bus every payload is collected in the round it was
+    sent, so its age is always 0.
     """
 
     src: int
@@ -108,11 +109,13 @@ class TransportStats:
     n_tx_params: int = 0
     per_agent_sent: dict[int, int] = field(default_factory=dict)
     per_tag_params: dict[str, int] = field(default_factory=dict)
-    #: Fault-fabric counters (all stay 0 on a reliable link) — retries
-    #: after a lost delivery, deliveries lost for good, deliveries that
-    #: arrived late, payloads corrupted in flight, receiver-side
-    #: quarantines (corruption detected), stale payloads rejected by the
-    #: aggregation horizon, and aggregation rounds skipped for quorum.
+    #: Fault-fabric counters — retries after a lost delivery, deliveries
+    #: lost for good, deliveries that arrived late, payloads corrupted in
+    #: flight, receiver-side quarantines (invalid payload detected),
+    #: stale payloads rejected by the aggregation horizon, and
+    #: aggregation rounds skipped for quorum.  On a reliable link all
+    #: stay 0 but the quarantines, which also count a sender's own
+    #: non-finite weights.
     n_retransmits: int = 0
     n_dropped: int = 0
     n_delayed: int = 0
@@ -318,6 +321,18 @@ class MessageBus:
     def _sender_on_air(self, src: int) -> bool:
         """Whether *src*'s radio actually transmits (hook for fault fabrics)."""
         return True
+
+    def is_online(self, agent: int) -> bool:
+        """Whether *agent* is connected to the fabric (always, here)."""
+        return True
+
+    def sends_this_round(self, agent: int) -> bool:
+        """Whether *agent* broadcasts this round (no stragglers here)."""
+        return True
+
+    def drain_recovered(self) -> list[int]:
+        """Agents back from a crash since the last drain (none here)."""
+        return []
 
     def _route_neighbors(self, src: int) -> list[int]:
         """Broadcast receiver set for *src* (hook for routing overlays)."""

@@ -159,25 +159,6 @@ def _freeze_tree(obj, seen: set[int]) -> None:
             _freeze_tree(v, seen)
 
 
-class _GreedyAgent:
-    """Greedy ``act()`` adapter over one frozen member Q-net.
-
-    Computes exactly what :meth:`repro.rl.dqn.DQNAgent.act` computes in
-    greedy mode (batch-of-1 forward, first-index argmax) — used for the
-    per-request :class:`OnlineController` baseline and the equivalence
-    tests.
-    """
-
-    __slots__ = ("qnet",)
-
-    def __init__(self, qnet) -> None:
-        self.qnet = qnet
-
-    def act(self, state: np.ndarray, greedy: bool = True) -> int:
-        q = self.qnet.forward(np.asarray(state, dtype=np.float64)[None, :])[0]
-        return int(np.argmax(q))
-
-
 class ModelSnapshot:
     """Read-only serving view over one checkpoint.
 
@@ -347,10 +328,9 @@ class ModelSnapshot:
                 "per-request controllers need residence agent scope "
                 "(one agent per home); this snapshot is device-scoped"
             )
-        agent = _GreedyAgent(self.stack.qnets[res.rows["*"]])
         return OnlineController(
             forecasters=dict(res.forecasters),
-            agent=agent,
+            qnet=self.stack.qnets[res.rows["*"]],
             nominals=dict(res.nominals),
             minutes_per_day=self.minutes_per_day,
             t0=t0,

@@ -278,7 +278,7 @@ class TestActionDrawRuleSingleSource:
         fake = SimpleNamespace(window=10**6, horizon=self.HORIZON, n_extra=0)
         return OnlineController(
             forecasters={"tv": fake},
-            agent=self._agent(),
+            qnet=self._agent().qnet,
             nominals={"tv": DeviceNominals(self.ON_KW, self.STANDBY_KW)},
             minutes_per_day=240,
         )
@@ -328,7 +328,7 @@ class TestActionDrawRuleSingleSource:
 
         monkeypatch.setattr(ctrl_mod, "apply_actions", spy)
         controller = self._controller()
-        controller.agent = agent
+        controller.qnet = agent.qnet
         ctrl_actions = [
             m["tv"] for m in controller.run_trace({"tv": real})
         ]

@@ -40,7 +40,7 @@ def make_controller(window=6, horizon=3, device="tv", agent=None):
     fc._fitted = True
     return OnlineController(
         forecasters={device: fc},
-        agent=agent or trained_agent(device=device),
+        qnet=(agent or trained_agent(device=device)).qnet,
         nominals={device: DeviceNominals(on_kw=0.12, standby_kw=0.012)},
         minutes_per_day=240,
     )
@@ -51,12 +51,12 @@ class TestConstruction:
         fc = LinearRegressionForecaster(4, 2, n_extra=0)
         with pytest.raises(ValueError):
             OnlineController(
-                {"tv": fc}, trained_agent(), {"light": DeviceNominals(0.1, 0.01)}
+                {"tv": fc}, trained_agent().qnet, {"light": DeviceNominals(0.1, 0.01)}
             )
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            OnlineController({}, trained_agent(), {})
+            OnlineController({}, trained_agent().qnet, {})
 
     def test_nominals_validated(self):
         with pytest.raises(ValueError):
@@ -128,7 +128,7 @@ class TestEndToEndDeployment:
         fc.W[5, :] = 1.0
         fc._fitted = True
         ctrl = OnlineController(
-            {"tv": fc}, agent,
+            {"tv": fc}, agent.qnet,
             {"tv": DeviceNominals(trace.on_kw, trace.standby_kw)},
             minutes_per_day=240,
         )

@@ -3,7 +3,8 @@
 Covers the fault model's contract: deterministic seeding, zero-fault
 bit-identity with the reliable implementation, delayed-delivery ordering,
 quorum skip-and-continue, stale-payload rejection, corrupted-payload
-quarantine, and end-to-end survival of a lossy run with churn.
+quarantine (on the plain bus too), and end-to-end survival of a lossy
+run with churn.
 """
 
 import numpy as np
@@ -120,6 +121,42 @@ class TestZeroFaultRegression:
         for a, b in zip(base.agents, lossless.agents):
             assert weights_allclose(a.get_weights(), b.get_weights(), rtol=0, atol=0)
         assert lossless.bus.stats.n_quorum_skips == 0
+
+
+class TestReliableMeshQuarantine:
+    """The plain bus runs the same receive policy: a non-finite payload
+    is quarantined, never averaged into a neighbour."""
+
+    def test_plain_bus_liveness_hooks(self):
+        bus = MessageBus(make_topology("full", 3))
+        assert bus.is_online(0) and bus.sends_this_round(2)
+        assert bus.drain_recovered() == []
+
+    def test_dfl_nan_payload_quarantined(self, dataset):
+        tr = DFLTrainer(dataset, FC, FED, seed=0)
+        assert type(tr.bus) is MessageBus
+        sick = tr.clients[0]
+        for device in sick.device_types:
+            sick.set_weights(
+                device, [np.full_like(w, np.nan) for w in sick.get_weights(device)]
+            )
+        tr._broadcast_and_aggregate()
+        for client in tr.clients[1:]:
+            for device in client.device_types:
+                assert all(np.isfinite(w).all() for w in client.get_weights(device))
+        n_neighbours = len(tr.topology.neighbors(0))
+        assert tr.bus.stats.n_quarantined == n_neighbours * len(sick.device_types)
+
+    def test_pfdrl_nan_payload_quarantined(self, dataset):
+        cfg = DQNConfig(hidden_width=10, batch_size=8, memory_capacity=200)
+        tr = PFDRLTrainer(build_streams(dataset), cfg, FED, seed=0)
+        assert type(tr.bus) is MessageBus
+        sick = tr.agents[0]
+        sick.set_weights([np.full_like(w, np.nan) for w in sick.get_weights()])
+        tr._share_round()
+        for agent in tr.agents[1:]:
+            assert all(np.isfinite(w).all() for w in agent.get_weights())
+        assert tr.bus.stats.n_quarantined == len(tr.topology.neighbors(0))
 
 
 class TestDeterministicSeeding:

@@ -12,7 +12,8 @@ Contracts pinned here:
 - a single cluster at full participation is aggregate-equivalent to the
   flat FedAvg mean, while multi-cluster message counts stay strictly
   below the flat mesh;
-- upper-tier faults (traces, churn, self-healing) compose unchanged;
+- upper-tier faults (traces, churn, self-healing) compose unchanged, and
+  a lossless active upper tier merges exactly like the plain bus;
 - state round-trips bitwise: resumed runs equal uninterrupted ones.
 """
 
@@ -228,6 +229,33 @@ class TestHierarchicalFederation:
 def run_rounds_reference(cfg, n, n_members=16, dim=4, seed=3):
     runner = SegmentedScaleRunner(n_members, cfg, dim=dim, seed=seed)
     return run_rounds(runner, n)
+
+
+class TestUpperTierZeroFaults:
+    """A lossless active upper tier merges exactly like the plain bus."""
+
+    @pytest.mark.parametrize("upper", ["ring", "full"])
+    def test_weights_and_tier1_stats_identical(self, upper):
+        cfg = HierarchyConfig(
+            cluster_size=4, upper_topology=upper, participation=0.5, seed=4
+        )
+        plain = SegmentedScaleRunner(24, cfg, dim=4, seed=4, faults=None)
+        lossless = SegmentedScaleRunner(
+            24, cfg, dim=4, seed=4, faults=FaultConfig(quorum_fraction=0.5)
+        )
+        start = plain.weights.copy()
+        assert run_rounds(plain, 6) == run_rounds(lossless, 6)
+        assert not np.array_equal(plain.weights, start)
+        np.testing.assert_array_equal(plain.weights, lossless.weights)
+
+        a = plain.hier.stats_by_tier()
+        b = lossless.hier.stats_by_tier()
+        assert a["tier0"] == b["tier0"]
+        s, t = a["tier1"], b["tier1"]
+        assert (s.n_messages, s.n_params, s.n_bytes, s.n_tx_params) == (
+            t.n_messages, t.n_params, t.n_bytes, t.n_tx_params,
+        )
+        assert t.n_quorum_skips == t.n_dropped == t.n_quarantined == 0
 
 
 class TestUpperTierFaults:

@@ -43,7 +43,7 @@ def build_controller(cfg, system, rid=0):
     }
     return OnlineController(
         forecasters=client.forecasters,
-        agent=agent,
+        qnet=agent.qnet,
         nominals=nominals,
         minutes_per_day=cfg.data.minutes_per_day,
     )

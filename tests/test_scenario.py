@@ -486,7 +486,7 @@ class TestDERMeterController:
         fake = SimpleNamespace(window=10**6, horizon=6, n_extra=0)
         controller = OnlineController(
             forecasters={"tv": fake},
-            agent=DQNAgent(DQNConfig(hidden_width=8, n_hidden_layers=2), seed=0),
+            qnet=DQNAgent(DQNConfig(hidden_width=8, n_hidden_layers=2), seed=0).qnet,
             nominals={"tv": DeviceNominals(1.0, 0.05)},
             minutes_per_day=240,
             der=meter,
@@ -505,7 +505,7 @@ class TestDERMeterController:
         fake = SimpleNamespace(window=10**6, horizon=6, n_extra=0)
         controller = OnlineController(
             forecasters={"tv": fake},
-            agent=DQNAgent(DQNConfig(hidden_width=8, n_hidden_layers=2), seed=0),
+            qnet=DQNAgent(DQNConfig(hidden_width=8, n_hidden_layers=2), seed=0).qnet,
             nominals={"tv": DeviceNominals(1.0, 0.05)},
             minutes_per_day=240,
         )

@@ -122,7 +122,7 @@ class TestEquivalence:
             }
             controller = OnlineController(
                 forecasters=client.forecasters,
-                agent=agent,
+                qnet=agent.qnet,
                 nominals=nominals,
                 minutes_per_day=CFG.data.minutes_per_day,
                 t0=query.t0,

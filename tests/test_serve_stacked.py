@@ -252,7 +252,7 @@ class TestNonFiniteReadings:
         fc = LinearRegressionForecaster(4, 2)
         ctrl = OnlineController(
             {"tv": fc, "light": fc.clone()},
-            agent=None,
+            qnet=None,
             nominals={"tv": DeviceNominals(0.1, 0.01), "light": DeviceNominals(0.05, 0.0)},
         )
         with pytest.raises(ValueError, match="non-finite reading for 'light'"):
